@@ -4,14 +4,14 @@ package dataflow
 // Facts are stored over stable coordinates — defining-instruction IDs
 // for registers, points-to object IDs and qualified field names for
 // heap cells — and relinked against prog, pts, and the dependence
-// graph at decode. The (node, fact) table is emitted node-sorted with
-// each node's fact list in discovery order, so re-encoding a decoded
-// result is byte-identical. Truncated results are refused at encode:
-// a partial fact table must never masquerade as a complete artifact.
+// graph at decode. The (node, fact) table is emitted in node order with
+// each node's fact list in discovery order — the order of the results'
+// compressed rows — so re-encoding a decoded result is byte-identical.
+// Truncated results are refused at encode: a partial fact table must
+// never masquerade as a complete artifact.
 
 import (
 	"fmt"
-	"sort"
 
 	"thinslice/internal/analysis/pointsto"
 	"thinslice/internal/artifact"
@@ -52,22 +52,25 @@ func EncodeResults(r *Results) ([]byte, error) {
 		}
 	}
 
-	// Per-node fact lists with their discovery parents, node-sorted.
-	nodes := make([]sdg.Node, 0, len(r.factsAt))
-	for n := range r.factsAt { //determinism:ok — sorted below
-		nodes = append(nodes, n)
+	// Per-node fact lists with their discovery parents, in node order.
+	numNodes := 0
+	for n := 0; n+1 < len(r.nodeOff); n++ {
+		if r.nodeOff[n] < r.nodeOff[n+1] {
+			numNodes++
+		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	w.Uvarint(uint64(len(nodes)))
-	for _, n := range nodes {
-		facts := r.factsAt[n]
+	w.Uvarint(uint64(numNodes))
+	for n := 0; n+1 < len(r.nodeOff); n++ {
+		lo, hi := r.nodeOff[n], r.nodeOff[n+1]
+		if lo == hi {
+			continue
+		}
 		w.Uvarint(uint64(n))
-		w.Uvarint(uint64(len(facts)))
-		for _, d := range facts {
-			rec := r.atNode[nfKey(n, d)]
-			w.Uvarint(uint64(d))
-			w.Uvarint(rec.prev)
-			w.Uvarint(uint64(rec.step))
+		w.Uvarint(uint64(hi - lo))
+		for i := lo; i < hi; i++ {
+			w.Uvarint(uint64(r.nodeFacts[i]))
+			w.Uvarint(r.nodeParents[i].prev)
+			w.Uvarint(uint64(r.nodeParents[i].step))
 		}
 	}
 	w.Int(r.PathEdges)
@@ -77,7 +80,8 @@ func EncodeResults(r *Results) ([]byte, error) {
 
 // DecodeResults rebuilds Results from data against prog, pts, and the
 // dependence graph supplying the node space. Any structural fault in
-// data is an error.
+// data is an error, including a parent chain that revisits a (node,
+// fact) pair: Trace follows parents to a root and would never return.
 func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.Graph) (*Results, error) {
 	fields := make(map[string]*types.FieldInfo)
 	for _, ci := range prog.Info.Classes {
@@ -93,8 +97,7 @@ func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.G
 		ConfigKey: r.String(),
 		graph:     g,
 		facts:     NewFacts(),
-		atNode:    make(map[uint64]parentRec),
-		factsAt:   make(map[sdg.Node][]Fact),
+		nodeOff:   make([]int32, g.NumNodes()+1),
 	}
 	fx := res.facts
 
@@ -107,8 +110,14 @@ func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.G
 		var got Fact
 		switch kind {
 		case KindReg:
-			id := int(r.Uvarint())
-			ins := prog.InstrByID(id)
+			id := r.Uvarint()
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if id >= uint64(prog.NumInstrs) {
+				return nil, fmt.Errorf("dataflow: decode: instr %d of %d", id, prog.NumInstrs)
+			}
+			ins := prog.InstrByID(int(id))
 			if ins == nil || ins.Def() == nil {
 				return nil, fmt.Errorf("dataflow: decode: instr %d does not define a register", id)
 			}
@@ -134,7 +143,11 @@ func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.G
 			case KindObjLen:
 				got = fx.ObjLen(o)
 			default:
-				got = fx.ObjState(o, uint8(r.Uvarint()))
+				st := r.Uvarint()
+				if st > 255 {
+					return nil, fmt.Errorf("dataflow: decode: bad protocol state %d", st)
+				}
+				got = fx.ObjState(o, uint8(st))
 			}
 		case KindStatic:
 			fi, err := decodeField(r, fields)
@@ -150,53 +163,92 @@ func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.G
 		}
 	}
 
+	// Node rows, strictly ascending and non-empty as EncodeResults
+	// writes them. seenAt[d] is one more than the last node holding d, so
+	// a repeat within a row is caught without clearing between rows.
+	seenAt := make([]int32, fx.NumFacts())
+	last := -1
 	numNodes := r.Len()
 	for i := 0; i < numNodes; i++ {
-		n := sdg.Node(r.Uvarint())
+		nu := r.Uvarint()
 		cnt := r.Len()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if int(n) < 0 || int(n) >= g.NumNodes() {
-			return nil, fmt.Errorf("dataflow: decode: node %d of %d", n, g.NumNodes())
+		if nu >= uint64(g.NumNodes()) {
+			return nil, fmt.Errorf("dataflow: decode: node %d of %d", nu, g.NumNodes())
 		}
+		n := int(nu)
+		if n <= last || cnt == 0 {
+			return nil, fmt.Errorf("dataflow: decode: node %d out of order or empty", n)
+		}
+		last = n
+		res.nodeOff[n+1] = int32(cnt)
 		for j := 0; j < cnt; j++ {
-			d := Fact(r.Uvarint())
+			du := r.Uvarint()
 			prev := r.Uvarint()
-			step := StepKind(r.Uvarint())
+			step := r.Uvarint()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if int(d) >= fx.NumFacts() {
-				return nil, fmt.Errorf("dataflow: decode: fact %d of %d", d, fx.NumFacts())
+			if du >= uint64(fx.NumFacts()) {
+				return nil, fmt.Errorf("dataflow: decode: fact %d of %d", du, fx.NumFacts())
 			}
-			if step > StepSummary {
+			if step > uint64(StepSummary) {
 				return nil, fmt.Errorf("dataflow: decode: bad step kind %d", step)
 			}
-			key := nfKey(n, d)
-			if _, dup := res.atNode[key]; dup {
-				return nil, fmt.Errorf("dataflow: decode: duplicate fact %d at node %d", d, n)
+			if seenAt[du] == int32(n+1) {
+				return nil, fmt.Errorf("dataflow: decode: duplicate fact %d at node %d", du, n)
 			}
-			res.atNode[key] = parentRec{prev: prev, step: step}
-			res.factsAt[n] = append(res.factsAt[n], d)
+			seenAt[du] = int32(n + 1)
+			res.nodeFacts = append(res.nodeFacts, Fact(du))
+			res.nodeParents = append(res.nodeParents, parentRec{prev: prev, step: StepKind(step)})
 		}
+	}
+	for n := 1; n < len(res.nodeOff); n++ {
+		res.nodeOff[n] += res.nodeOff[n-1]
 	}
 	res.PathEdges = r.Int()
 	res.SummaryEdges = r.Int()
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	// Parent references must resolve within the table (or be roots) so
-	// Trace can never walk into the void.
-	for _, rec := range res.atNode {
-		if rec.prev == parentRoot {
-			continue
+	up, err := parentPositions(res.nodeOff, res.nodeFacts, res.nodeParents, fx.NumFacts())
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: decode: %w", err)
+	}
+	if err := checkAcyclic(up); err != nil {
+		return nil, err
+	}
+	res.nodeUp = up
+	return res, nil
+}
+
+// checkAcyclic verifies that every parent chain reaches a root, so
+// Trace cannot loop: it walks each chain until a root or an entry
+// already known to reach one, and meeting an entry of the current walk
+// again is a cycle.
+func checkAcyclic(up []int32) error {
+	const (
+		unseen = iota
+		onWalk
+		rooted
+	)
+	state := make([]uint8, len(up))
+	for i := range up {
+		j := int32(i)
+		for j >= 0 && state[j] == unseen {
+			state[j] = onWalk
+			j = up[j]
 		}
-		if _, ok := res.atNode[rec.prev]; !ok {
-			return nil, fmt.Errorf("dataflow: decode: dangling parent reference %#x", rec.prev)
+		if j >= 0 && state[j] == onWalk {
+			return fmt.Errorf("dataflow: decode: parent chain cycles through entry %d", j)
+		}
+		for k := int32(i); k >= 0 && state[k] == onWalk; k = up[k] {
+			state[k] = rooted
 		}
 	}
-	return res, nil
+	return nil
 }
 
 func decodeObj(r *artifact.Reader, objects []*pointsto.Object) (*pointsto.Object, error) {

@@ -27,7 +27,7 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"thinslice/internal/analysis/cha"
 	"thinslice/internal/analysis/pointsto"
@@ -346,6 +346,9 @@ type parentRec struct {
 
 const parentRoot = ^uint64(0)
 
+// nfKey packs a node and a fact into one key: the parent reference of
+// the (node, fact) table, and the (entry node, entry fact) key of the
+// solver's caller and summary tables.
 func nfKey(n sdg.Node, d Fact) uint64 { return uint64(uint32(n))<<32 | uint64(uint32(d)) }
 
 // Results holds the solved exploded-supergraph reachability: which
@@ -363,10 +366,18 @@ type Results struct {
 	Name      string
 	ConfigKey string
 
-	graph   *sdg.Graph
-	facts   *Facts
-	atNode  map[uint64]parentRec
-	factsAt map[sdg.Node][]Fact // first-discovery order per node
+	graph *sdg.Graph
+	facts *Facts
+	// The (node, fact) table in compressed rows: node n's facts, in
+	// discovery order, are nodeFacts[nodeOff[n]:nodeOff[n+1]], and
+	// nodeParents holds the discovery parent of each entry. nodeUp is
+	// each entry's parent position (-1 at a root), resolved on the first
+	// Trace (decoding resolves it up front to check the chains).
+	nodeOff     []int32
+	nodeFacts   []Fact
+	nodeParents []parentRec
+	nodeUp      []int32
+	upOnce      sync.Once
 
 	// PathEdges counts distinct tabulated path edges; SummaryEdges
 	// counts (callee entry fact → exit fact) summaries. Surfaced in
@@ -383,13 +394,32 @@ func (r *Results) Graph() *sdg.Graph { return r.graph }
 
 // NumNodeFacts returns the number of recorded (node, fact) pairs —
 // the size proxy cost-accounted stores use.
-func (r *Results) NumNodeFacts() int { return len(r.atNode) }
+func (r *Results) NumNodeFacts() int { return len(r.nodeFacts) }
+
+// row returns the table positions of node n's facts (empty for nodes
+// outside the graph).
+func (r *Results) row(n sdg.Node) (lo, hi int32) {
+	if n < 0 || int(n) >= len(r.nodeOff)-1 {
+		return 0, 0
+	}
+	return r.nodeOff[n], r.nodeOff[n+1]
+}
+
+// index returns the table position of (n, d), or -1 when d does not
+// hold at n. A node holds a few dozen facts, so a scan of its row is
+// cheaper than any index over the whole table.
+func (r *Results) index(n sdg.Node, d Fact) int32 {
+	lo, hi := r.row(n)
+	for i := lo; i < hi; i++ {
+		if r.nodeFacts[i] == d {
+			return i
+		}
+	}
+	return -1
+}
 
 // Holds reports whether fact d holds before statement instance n.
-func (r *Results) Holds(n sdg.Node, d Fact) bool {
-	_, ok := r.atNode[nfKey(n, d)]
-	return ok
-}
+func (r *Results) Holds(n sdg.Node, d Fact) bool { return r.index(n, d) >= 0 }
 
 // Reachable reports whether n is reachable at all (the zero fact
 // holds there).
@@ -397,7 +427,13 @@ func (r *Results) Reachable(n sdg.Node) bool { return r.Holds(n, Zero) }
 
 // FactsAt returns the facts holding before n (zero included), in
 // discovery order. Callers must not mutate the slice.
-func (r *Results) FactsAt(n sdg.Node) []Fact { return r.factsAt[n] }
+func (r *Results) FactsAt(n sdg.Node) []Fact {
+	lo, hi := r.row(n)
+	if lo == hi {
+		return nil
+	}
+	return r.nodeFacts[lo:hi:hi]
+}
 
 // Trace reconstructs a witness path for fact d at node n: the chain of
 // statement instances along which d was first discovered, most recent
@@ -406,20 +442,24 @@ func (r *Results) FactsAt(n sdg.Node) []Fact { return r.factsAt[n] }
 // code are compressed away, leaving the thin-slice-style chain of
 // fact-changing steps. Returns nil when d does not hold at n.
 func (r *Results) Trace(n sdg.Node, d Fact) []Step {
-	key := nfKey(n, d)
-	rec, ok := r.atNode[key]
-	if !ok {
+	i := r.index(n, d)
+	if i < 0 {
 		return nil
 	}
+	r.upOnce.Do(func() {
+		if r.nodeUp == nil {
+			// The solver records a pair before any pair it discovers, so
+			// every parent resolves.
+			r.nodeUp, _ = parentPositions(r.nodeOff, r.nodeFacts, r.nodeParents, r.facts.NumFacts())
+		}
+	})
+	rec := r.nodeParents[i]
 	const maxSteps = 128
 	out := []Step{{Node: n, Ins: r.graph.InstrOf(n), Fact: d, Kind: rec.step}}
 	for rec.prev != parentRoot && len(out) < maxSteps {
-		key = rec.prev
-		prevNode, prevFact := sdg.Node(int32(key>>32)), Fact(int32(uint32(key)))
-		next, ok := r.atNode[key]
-		if !ok {
-			break
-		}
+		i = r.nodeUp[i]
+		prevNode, prevFact := sdg.Node(int32(rec.prev>>32)), r.nodeFacts[i]
+		next := r.nodeParents[i]
 		// Keep hops where the fact identity changes (gens, parameter
 		// and return bindings, heap transfers) or a call boundary is
 		// crossed; drop same-fact straight-line flow outright — the
@@ -439,10 +479,113 @@ func (r *Results) Trace(n sdg.Node, d Fact) []Step {
 	return out
 }
 
-// entryKey identifies a procedure instance entered with a given fact.
-type entryKey struct {
-	mc *pointsto.MCtx
-	d  Fact
+// parentPositions resolves each entry's parent key to the parent's
+// table position, -1 at a root. Entries are grouped by their parent's
+// node, so every parent row is indexed once, in a fact-indexed scratch
+// slice: O(entries + nodes + facts), with no hashing. A key naming a
+// pair outside the table is an error.
+func parentPositions(off []int32, facts []Fact, parents []parentRec, numFacts int) ([]int32, error) {
+	numNodes := len(off) - 1
+	up := make([]int32, len(parents))
+	// byParent[start[p]:start[p+1]] are the entries whose parent is at node p.
+	start := make([]int32, numNodes+2)
+	for i, rec := range parents {
+		up[i] = -1
+		if rec.prev == parentRoot {
+			continue
+		}
+		if p := rec.prev >> 32; p < uint64(numNodes) {
+			start[p+2]++
+		} else {
+			return nil, fmt.Errorf("dangling parent reference %#x", rec.prev)
+		}
+	}
+	for p := 2; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	// start[p+1] is the fill cursor of node p; filling leaves it at the
+	// end of p's group, which is where group p+1 starts.
+	byParent := make([]int32, start[numNodes+1])
+	for i, rec := range parents {
+		if rec.prev != parentRoot {
+			p := rec.prev>>32 + 1
+			byParent[start[p]] = int32(i)
+			start[p]++
+		}
+	}
+	slot := make([]int32, numFacts) // fact → position+1 within the current row
+	for p := 0; p < numNodes; p++ {
+		kids := byParent[start[p]:start[p+1]]
+		if len(kids) == 0 {
+			continue
+		}
+		lo, hi := off[p], off[p+1]
+		for j := lo; j < hi; j++ {
+			slot[facts[j]] = j + 1
+		}
+		for _, i := range kids {
+			d := uint64(uint32(parents[i].prev))
+			if d >= uint64(numFacts) || slot[d] == 0 {
+				return nil, fmt.Errorf("dangling parent reference %#x", parents[i].prev)
+			}
+			up[i] = slot[d] - 1
+		}
+		for j := lo; j < hi; j++ {
+			slot[facts[j]] = 0
+		}
+	}
+	return up, nil
+}
+
+// NodesHolding returns every node where fact d holds, in node order.
+// Intended for tests and diagnostics, not hot paths.
+func (r *Results) NodesHolding(d Fact) []sdg.Node {
+	var out []sdg.Node
+	for n := 0; n+1 < len(r.nodeOff); n++ {
+		if r.Holds(sdg.Node(n), d) {
+			out = append(out, sdg.Node(n))
+		}
+	}
+	return out
+}
+
+// bitTable is a node-indexed table of fact bitsets: row n is stride
+// words, one bit per fact. Facts are interned during the solve, so a
+// fact past the current width widens every row.
+type bitTable struct {
+	words  []uint64
+	rows   int
+	stride int
+}
+
+func newBitTable(rows int) bitTable {
+	return bitTable{words: make([]uint64, rows), rows: rows, stride: 1}
+}
+
+// add sets bit (n, d) and reports whether it was clear.
+func (t *bitTable) add(n sdg.Node, d Fact) bool {
+	w := int(d) >> 6
+	if w >= t.stride {
+		t.widen(w + 1)
+	}
+	p := &t.words[int(n)*t.stride+w]
+	bit := uint64(1) << (uint(d) & 63)
+	if *p&bit != 0 {
+		return false
+	}
+	*p |= bit
+	return true
+}
+
+// widen re-lays the table out with at least need words per row,
+// doubling so a solve widens O(log facts) times.
+func (t *bitTable) widen(need int) {
+	stride := max(2*t.stride, need)
+	words := make([]uint64, t.rows*stride)
+	for n := 0; n < t.rows; n++ {
+		copy(words[n*stride:], t.words[n*t.stride:(n+1)*t.stride])
+	}
+	t.words, t.stride = words, stride
 }
 
 type callerRec struct {
@@ -456,30 +599,67 @@ type exitRec struct {
 	d    Fact
 }
 
+// procEntry is one procedure instance entered with one fact: the
+// callers registered for it (incoming) and the exit facts it reaches
+// (its end summary), each list in append order.
+type procEntry struct {
+	incoming   []callerRec
+	endSummary []exitRec
+}
+
 type pathEdge struct {
 	d1 Fact // fact at the procedure entry
 	n  sdg.Node
 	d2 Fact // fact at n
 }
 
-// solver is the tabulation state.
+// found is one (node, fact) pair in discovery order, with its parent.
+type found struct {
+	n   sdg.Node
+	d   Fact
+	rec parentRec
+}
+
+// solver is the tabulation state. Everything per node is a dense table
+// indexed by sdg.Node.
 type solver struct {
 	in    Inputs
 	p     Problem
 	env   *Env
 	meter *budget.Meter
 
-	res        *Results
-	pathSet    map[pathEdge]struct{}
-	work       []pathEdge
-	head       int
-	incoming   map[entryKey][]callerRec
-	endSummary map[entryKey][]exitRec
-	// deltas caches per-context node-ID offsets (sdg.NodeOf without
-	// the map lookups in the hot loop).
-	deltas map[*pointsto.MCtx]int32
-	buf    []Fact
-	stop   error
+	res *Results
+	// instr is the node → instruction table. Consecutive nodes of one
+	// context are consecutive instruction IDs (the SDG node layout), so
+	// it is filled in one pass with one graph lookup per context.
+	instr []ir.Instr
+	// entries caches each context's entry node.
+	entries map[*pointsto.MCtx]sdg.Node
+
+	// Path edges (d1, n, d2), split by shape as WALA's IFDS
+	// LocalPathEdges does: d1 = Λ and d1 = d2 are one bit per (node,
+	// d2) — all path edges of the init and close problems and nearly
+	// all of taint's — and otherEdges[n] holds every other shape of n
+	// under the key d1<<32 | d2.
+	zeroEdges  bitTable
+	sameEdges  bitTable
+	otherEdges []map[uint64]struct{}
+
+	// holds marks the (node, fact) pairs recorded in discovered, which
+	// keeps them in discovery order in chunks: recording a pair never
+	// copies the earlier ones, as growing one slice would.
+	holds      bitTable
+	discovered [][]found
+
+	work []pathEdge // FIFO; work[:head] is done
+	head int
+	// procIndex maps nfKey(entry node, entry fact) to its procs entry;
+	// the indirection keeps list appends from writing the map.
+	procIndex map[uint64]int32
+	procs     []procEntry
+	buf       []Fact
+	retBuf    []Fact
+	stop      error
 }
 
 // Solve runs the tabulation for problem p. Budget exhaustion returns a
@@ -490,6 +670,7 @@ func Solve(in Inputs, p Problem, bud *budget.Budget) (*Results, error) {
 		return nil, err
 	}
 	fx := NewFacts()
+	numNodes := in.Graph.NumNodes()
 	s := &solver{
 		in:    in,
 		p:     p,
@@ -500,13 +681,14 @@ func Solve(in Inputs, p Problem, bud *budget.Budget) (*Results, error) {
 			ConfigKey: p.ConfigKey(),
 			graph:     in.Graph,
 			facts:     fx,
-			atNode:    make(map[uint64]parentRec),
-			factsAt:   make(map[sdg.Node][]Fact),
 		},
-		pathSet:    make(map[pathEdge]struct{}),
-		incoming:   make(map[entryKey][]callerRec),
-		endSummary: make(map[entryKey][]exitRec),
-		deltas:     make(map[*pointsto.MCtx]int32),
+		instr:      instrTable(in.Graph),
+		entries:    make(map[*pointsto.MCtx]sdg.Node),
+		zeroEdges:  newBitTable(numNodes),
+		sameEdges:  newBitTable(numNodes),
+		otherEdges: make([]map[uint64]struct{}, numNodes),
+		holds:      newBitTable(numNodes),
+		procIndex:  make(map[uint64]int32),
 	}
 	s.seed()
 	s.run()
@@ -516,44 +698,140 @@ func Solve(in Inputs, p Problem, bud *budget.Budget) (*Results, error) {
 		}
 		s.res.Truncated, s.res.Err = true, s.stop
 	}
-	s.res.PathEdges = len(s.pathSet)
+	s.finish()
 	return s.res, nil
 }
 
-// nodeOf maps (context, instruction) to its supergraph node.
-func (s *solver) nodeOf(mc *pointsto.MCtx, ins ir.Instr) sdg.Node {
-	delta, ok := s.deltas[mc]
-	if !ok {
-		first := mc.Method.Blocks[0].Instrs[0]
-		delta = int32(int(s.in.Graph.NodeOf(mc, first)) - first.ID())
-		s.deltas[mc] = delta
+// instrTable returns the instruction of every node of g.
+func instrTable(g *sdg.Graph) []ir.Instr {
+	instr := make([]ir.Instr, g.NumNodes())
+	for n := range instr {
+		if n > 0 && g.CtxOf(sdg.Node(n)) == g.CtxOf(sdg.Node(n-1)) {
+			instr[n] = g.Prog.InstrByID(instr[n-1].ID() + 1)
+		} else {
+			instr[n] = g.InstrOf(sdg.Node(n))
+		}
 	}
-	return sdg.Node(delta + int32(ins.ID()))
+	return instr
+}
+
+// proc returns the state of the procedure instance entered at node
+// entry with fact d.
+func (s *solver) proc(entry sdg.Node, d Fact) *procEntry {
+	k := nfKey(entry, d)
+	i, ok := s.procIndex[k]
+	if !ok {
+		i = int32(len(s.procs))
+		s.procIndex[k] = i
+		s.procs = append(s.procs, procEntry{})
+	}
+	return &s.procs[i]
+}
+
+// entry returns the entry node of context mc.
+func (s *solver) entry(mc *pointsto.MCtx) sdg.Node {
+	n, ok := s.entries[mc]
+	if !ok {
+		n = s.in.Graph.NodeOf(mc, mc.Method.Blocks[0].Instrs[0])
+		s.entries[mc] = n
+	}
+	return n
 }
 
 // seed roots the tabulation at every analysis entry method.
 func (s *solver) seed() {
 	for _, m := range s.in.Pts.Entries() {
 		for _, mc := range s.in.Pts.MCtxsOf(m) {
-			entry := s.nodeOf(mc, m.Blocks[0].Instrs[0])
-			s.propagate(pathEdge{Zero, entry, Zero}, parentRoot, StepGen)
+			s.propagate(Zero, s.entry(mc), Zero, parentRoot, StepGen)
 		}
 	}
 }
 
-// propagate adds a path edge if new, recording the discovery parent of
-// its (node, fact) pair the first time the pair is seen.
-func (s *solver) propagate(e pathEdge, parent uint64, step StepKind) {
-	if _, ok := s.pathSet[e]; ok {
+// propagate adds path edge (d1, n, d2) if new, recording the discovery
+// parent of its (node, fact) pair the first time the pair is seen.
+func (s *solver) propagate(d1 Fact, n sdg.Node, d2 Fact, parent uint64, step StepKind) {
+	if !s.addPathEdge(d1, n, d2) {
 		return
 	}
-	s.pathSet[e] = struct{}{}
-	s.work = append(s.work, e)
-	key := nfKey(e.n, e.d2)
-	if _, ok := s.res.atNode[key]; !ok {
-		s.res.atNode[key] = parentRec{prev: parent, step: step}
-		s.res.factsAt[e.n] = append(s.res.factsAt[e.n], e.d2)
+	s.res.PathEdges++
+	if len(s.work) == cap(s.work) && s.head >= len(s.work)/2 {
+		// Reclaim the popped prefix instead of growing the queue.
+		s.work = s.work[:copy(s.work, s.work[s.head:])]
+		s.head = 0
 	}
+	s.work = append(s.work, pathEdge{d1, n, d2})
+	if s.holds.add(n, d2) {
+		s.record(found{n, d2, parentRec{prev: parent, step: step}})
+	}
+}
+
+// record appends a newly discovered pair, opening a chunk when the last
+// one is full. Chunks grow with the table up to a fixed size, so a
+// small solve stays small.
+func (s *solver) record(f found) {
+	last := len(s.discovered) - 1
+	if last < 0 || len(s.discovered[last]) == cap(s.discovered[last]) {
+		size := 256
+		if last >= 0 {
+			size = min(2*cap(s.discovered[last]), 1<<14)
+		}
+		s.discovered = append(s.discovered, make([]found, 0, size))
+		last++
+	}
+	s.discovered[last] = append(s.discovered[last], f)
+}
+
+// addPathEdge inserts path edge (d1, n, d2) and reports whether it was
+// new.
+func (s *solver) addPathEdge(d1 Fact, n sdg.Node, d2 Fact) bool {
+	switch d1 {
+	case Zero:
+		return s.zeroEdges.add(n, d2)
+	case d2:
+		return s.sameEdges.add(n, d2)
+	}
+	m := s.otherEdges[n]
+	if m == nil {
+		m = make(map[uint64]struct{})
+		s.otherEdges[n] = m
+	}
+	k := uint64(uint32(d1))<<32 | uint64(uint32(d2))
+	if _, ok := m[k]; ok {
+		return false
+	}
+	m[k] = struct{}{}
+	return true
+}
+
+// finish lays the discovered (node, fact) pairs out as the results'
+// compressed rows. A stable counting sort by node keeps each node's
+// facts in discovery order.
+func (s *solver) finish() {
+	r := s.res
+	off := make([]int32, len(s.instr)+1)
+	total := 0
+	for _, chunk := range s.discovered {
+		total += len(chunk)
+		for _, f := range chunk {
+			off[f.n+1]++
+		}
+	}
+	for n := 1; n < len(off); n++ {
+		off[n] += off[n-1]
+	}
+	r.nodeFacts = make([]Fact, total)
+	r.nodeParents = make([]parentRec, total)
+	for _, chunk := range s.discovered {
+		for _, f := range chunk {
+			i := off[f.n]
+			r.nodeFacts[i], r.nodeParents[i] = f.d, f.rec
+			off[f.n]++
+		}
+	}
+	// off[n] now holds the end of row n, i.e. the start of row n+1.
+	copy(off[1:], off)
+	off[0] = 0
+	r.nodeOff = off
 }
 
 // callees resolves the call targets at a call site in context. When
@@ -570,25 +848,25 @@ func (s *solver) callees(call *ir.Call, mc *pointsto.MCtx) []*pointsto.MCtx {
 	return out
 }
 
-// succs appends the intraprocedural CFG successor nodes of ins.
-func succs(mc *pointsto.MCtx, ins ir.Instr, nodeOf func(*pointsto.MCtx, ir.Instr) sdg.Node, dst []sdg.Node) []sdg.Node {
-	b := ins.Block()
-	for i, cur := range b.Instrs {
-		if cur != ins {
-			continue
-		}
-		if i+1 < len(b.Instrs) {
-			return append(dst, nodeOf(mc, b.Instrs[i+1]))
-		}
-		break
-	}
+// succs appends the intraprocedural CFG successors of node n, whose
+// instruction ins is neither a call nor an exit. ir.Verify guarantees
+// that IDs are contiguous in block order and that a block ends in its
+// only terminator, so a non-terminator is followed by node n+1 and a
+// branch target's first instruction is n plus the ID difference.
+func succs(n sdg.Node, ins ir.Instr, dst []sdg.Node) []sdg.Node {
 	switch t := ins.(type) {
 	case *ir.If:
-		return append(dst, nodeOf(mc, t.Then.Instrs[0]), nodeOf(mc, t.Else.Instrs[0]))
+		return append(dst, jump(n, ins, t.Then), jump(n, ins, t.Else))
 	case *ir.Goto:
-		return append(dst, nodeOf(mc, t.Target.Instrs[0]))
+		return append(dst, jump(n, ins, t.Target))
 	}
-	return dst // Return, Throw: no intraprocedural successors
+	return append(dst, n+1)
+}
+
+// jump returns the node of b's first instruction, for a branch at node
+// n with instruction ins.
+func jump(n sdg.Node, ins ir.Instr, b *ir.Block) sdg.Node {
+	return n + sdg.Node(b.Instrs[0].ID()-ins.ID())
 }
 
 // run is the tabulation worklist loop.
@@ -601,7 +879,7 @@ func (s *solver) run() {
 		}
 		e := s.work[s.head]
 		s.head++
-		ins := s.in.Graph.InstrOf(e.n)
+		ins := s.instr[e.n]
 		mc := s.in.Graph.CtxOf(e.n)
 		switch t := ins.(type) {
 		case *ir.Call:
@@ -611,9 +889,9 @@ func (s *solver) run() {
 		default:
 			out := s.p.Normal(s.env, mc, ins, e.d2, s.buf[:0])
 			parent := nfKey(e.n, e.d2)
-			for _, sn := range succs(mc, ins, s.nodeOf, succBuf[:0]) {
+			for _, sn := range succs(e.n, ins, succBuf[:0]) {
 				for _, d3 := range out {
-					s.propagate(pathEdge{e.d1, sn, d3}, parent, stepFor(e.d2, d3))
+					s.propagate(e.d1, sn, d3, parent, stepFor(e.d2, d3))
 				}
 			}
 			s.buf = out[:0]
@@ -632,104 +910,58 @@ func stepFor(from, to Fact) StepKind {
 
 // processCall handles a call node: call edges into each resolved
 // callee (registering incoming and applying any summaries already
-// discovered), plus the local call-to-return bypass.
+// discovered), plus the local call-to-return bypass. Calls never end
+// a block, so the return site is the next node.
 func (s *solver) processCall(e pathEdge, call *ir.Call, mc *pointsto.MCtx) {
 	parent := nfKey(e.n, e.d2)
-	retSite := s.retSite(e.n, call, mc)
+	retSite := e.n + 1
 	callees := s.callees(call, mc)
 	for _, callee := range callees {
-		entryIns := callee.Method.Blocks[0].Instrs[0]
-		entryNode := s.nodeOf(callee, entryIns)
+		entryNode := s.entry(callee)
 		out := s.p.Call(s.env, mc, call, callee, e.d2, s.buf[:0])
 		for _, d3 := range out {
-			s.propagate(pathEdge{d3, entryNode, d3}, parent, StepCall)
+			s.propagate(d3, entryNode, d3, parent, StepCall)
 			// Register the caller under the callee's entry fact, then
-			// apply any summaries already tabulated for it.
-			k := entryKey{callee, d3}
-			if !hasCaller(s.incoming[k], e.n, e.d1, e.d2) {
-				s.incoming[k] = append(s.incoming[k], callerRec{e.n, e.d1, e.d2})
+			// apply any summaries already tabulated for it. A path edge
+			// is popped once, so a repeat registration can only come
+			// from this pop and is the list's last element.
+			pe := s.proc(entryNode, d3)
+			cr := callerRec{e.n, e.d1, e.d2}
+			if n := len(pe.incoming); n == 0 || pe.incoming[n-1] != cr {
+				pe.incoming = append(pe.incoming, cr)
 			}
-			for _, ex := range s.endSummary[k] {
-				exitIns := s.in.Graph.InstrOf(ex.exit)
-				rout := s.p.Return(s.env, mc, call, callee, exitIns, ex.d, nil)
+			for _, ex := range pe.endSummary {
+				rout := s.p.Return(s.env, mc, call, callee, s.instr[ex.exit], ex.d, s.retBuf[:0])
 				for _, d5 := range rout {
-					s.propagate(pathEdge{e.d1, retSite, d5}, nfKey(ex.exit, ex.d), StepReturn)
+					s.propagate(e.d1, retSite, d5, nfKey(ex.exit, ex.d), StepReturn)
 				}
+				s.retBuf = rout[:0]
 			}
 		}
 		s.buf = out[:0]
 	}
 	out := s.p.CallToReturn(s.env, mc, call, len(callees) > 0, e.d2, s.buf[:0])
 	for _, d3 := range out {
-		s.propagate(pathEdge{e.d1, retSite, d3}, parent, stepFor(e.d2, d3))
+		s.propagate(e.d1, retSite, d3, parent, stepFor(e.d2, d3))
 	}
 	s.buf = out[:0]
 }
 
 // processExit handles a Return/Throw node: record the summary for this
 // procedure instance's entry fact and flow back to every registered
-// caller.
+// caller. Each path edge is popped once, so its summary is new.
 func (s *solver) processExit(e pathEdge, exit ir.Instr, mc *pointsto.MCtx) {
-	k := entryKey{mc, e.d1}
-	if !hasExit(s.endSummary[k], e.n, e.d2) {
-		s.endSummary[k] = append(s.endSummary[k], exitRec{e.n, e.d2})
-		s.res.SummaryEdges++
-	}
+	pe := s.proc(s.entry(mc), e.d1)
+	pe.endSummary = append(pe.endSummary, exitRec{e.n, e.d2})
+	s.res.SummaryEdges++
 	parent := nfKey(e.n, e.d2)
-	for _, cr := range s.incoming[k] {
-		callIns := s.in.Graph.InstrOf(cr.call).(*ir.Call)
+	for _, cr := range pe.incoming {
+		callIns := s.instr[cr.call].(*ir.Call)
 		callerCtx := s.in.Graph.CtxOf(cr.call)
-		retSite := s.retSite(cr.call, callIns, callerCtx)
 		out := s.p.Return(s.env, callerCtx, callIns, mc, exit, e.d2, s.buf[:0])
 		for _, d5 := range out {
-			s.propagate(pathEdge{cr.d1, retSite, d5}, parent, StepReturn)
+			s.propagate(cr.d1, cr.call+1, d5, parent, StepReturn)
 		}
 		s.buf = out[:0]
 	}
-}
-
-// retSite returns the node after a call in the caller (calls are never
-// block terminators, so the next instruction always exists).
-func (s *solver) retSite(callNode sdg.Node, call *ir.Call, mc *pointsto.MCtx) sdg.Node {
-	b := call.Block()
-	for i, cur := range b.Instrs {
-		if cur == call {
-			return s.nodeOf(mc, b.Instrs[i+1])
-		}
-	}
-	panic(fmt.Sprintf("dataflow: call %s not found in its block", call))
-}
-
-func hasCaller(list []callerRec, call sdg.Node, d1, d2 Fact) bool {
-	for _, c := range list {
-		if c.call == call && c.d1 == d1 && c.d2 == d2 {
-			return true
-		}
-	}
-	return false
-}
-
-func hasExit(list []exitRec, exit sdg.Node, d Fact) bool {
-	for _, e := range list {
-		if e.exit == exit && e.d == d {
-			return true
-		}
-	}
-	return false
-}
-
-// NodesHolding returns every node where fact d holds, sorted. Intended
-// for tests and diagnostics, not hot paths.
-func (r *Results) NodesHolding(d Fact) []sdg.Node {
-	var out []sdg.Node
-	for n, facts := range r.factsAt {
-		for _, f := range facts {
-			if f == d {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,8 +2,12 @@ package dataflow_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
+	"thinslice/internal/artifact"
 	"thinslice/internal/budget"
 	"thinslice/internal/dataflow"
 	"thinslice/internal/ir"
@@ -358,38 +362,103 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecRejectsCorruption flips bytes and truncates the payload and
 // requires decode errors, never panics or silent acceptance of
-// out-of-range nodes and facts.
+// out-of-range nodes and facts. The taint input has register facts,
+// whose instruction IDs must be range-checked before use.
 func TestCodecRejectsCorruption(t *testing.T) {
-	w := buildWorld(t, initFlowSrc)
-	res := solve(t, w, dataflow.InitProblem{}, nil)
-	enc, err := dataflow.EncodeResults(res)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+	for _, tc := range []struct {
+		name string
+		src  string
+		p    dataflow.Problem
+	}{
+		{"init", initFlowSrc, dataflow.InitProblem{}},
+		{"taint", taintInterprocSrc, dataflow.NewTaintProblem(nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildWorld(t, tc.src)
+			enc, err := dataflow.EncodeResults(solve(t, w, tc.p, nil))
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			decode := func(what string, data []byte) (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("decode of %s panicked: %v", what, r)
+					}
+				}()
+				_, err = dataflow.DecodeResults(data, w.in.Prog, w.in.Pts, w.in.Graph)
+				return err
+			}
+			if err := decode("the clean payload", enc); err != nil {
+				t.Fatalf("clean decode failed: %v", err)
+			}
+			rejected := 0
+			for i := 0; i < len(enc); i++ {
+				mut := append([]byte(nil), enc...)
+				mut[i] ^= 0x41
+				if decode(fmt.Sprintf("a flip at byte %d", i), mut) != nil {
+					rejected++
+				}
+			}
+			if rejected == 0 {
+				t.Errorf("no bit flip was rejected")
+			}
+			for cut := 0; cut < len(enc); cut += 7 {
+				if decode(fmt.Sprintf("a cut at byte %d", cut), enc[:cut]) == nil {
+					t.Fatalf("truncation at %d accepted", cut)
+				}
+			}
+		})
 	}
-	if _, err := dataflow.DecodeResults(enc, w.in.Prog, w.in.Pts, w.in.Graph); err != nil {
-		t.Fatalf("clean decode failed: %v", err)
+}
+
+// TestCodecRejectsParentCycle decodes two nodes that each hold the zero
+// fact with the other as discovery parent. Trace would walk that chain
+// forever, so the decoder must refuse it.
+func TestCodecRejectsParentCycle(t *testing.T) {
+	w := buildWorld(t, papercases.FileBug)
+	var aw artifact.Writer
+	aw.String("close")
+	aw.String("")
+	aw.Uvarint(0) // no facts besides the zero fact
+	aw.Uvarint(2) // two node rows
+	for _, row := range []struct{ node, parent uint64 }{{0, 1}, {1, 0}} {
+		aw.Uvarint(row.node)
+		aw.Uvarint(1)                // one fact at the node
+		aw.Uvarint(0)                // the zero fact
+		aw.Uvarint(row.parent << 32) // parent: the zero fact at the other node
+		aw.Uvarint(uint64(dataflow.StepFlow))
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("decode panicked: %v", r)
-		}
-	}()
-	rejected := 0
-	for i := 0; i < len(enc); i++ {
-		mut := append([]byte(nil), enc...)
-		mut[i] ^= 0x41
-		if _, err := dataflow.DecodeResults(mut, w.in.Prog, w.in.Pts, w.in.Graph); err != nil {
-			rejected++
-		}
+	aw.Int(2)
+	aw.Int(0)
+	if _, err := dataflow.DecodeResults(aw.Bytes(), w.in.Prog, w.in.Pts, w.in.Graph); err == nil {
+		t.Fatal("DecodeResults accepted a cyclic parent chain")
 	}
-	if rejected == 0 {
-		t.Errorf("no bit flip was rejected")
+}
+
+// TestTraceConcurrent traces every (node, fact) pair of one shared
+// result from several goroutines at once, as concurrent requests over a
+// cached result do; each must see the traces a fresh result gives.
+func TestTraceConcurrent(t *testing.T) {
+	w := buildWorld(t, taintInterprocSrc)
+	want := solve(t, w, dataflow.NewTaintProblem(nil), nil)
+	shared := solve(t, w, dataflow.NewTaintProblem(nil), nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < w.in.Graph.NumNodes(); n++ {
+				for _, d := range shared.FactsAt(sdg.Node(n)) {
+					a, b := shared.Trace(sdg.Node(n), d), want.Trace(sdg.Node(n), d)
+					if !reflect.DeepEqual(a, b) {
+						t.Errorf("node %d fact %d: concurrent trace %v, want %v", n, d, a, b)
+						return
+					}
+				}
+			}
+		}()
 	}
-	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := dataflow.DecodeResults(enc[:cut], w.in.Prog, w.in.Pts, w.in.Graph); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
+	wg.Wait()
 }
 
 // TestCancellationReturnsError distinguishes cancellation (an error,
