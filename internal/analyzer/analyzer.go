@@ -3,23 +3,20 @@
 // graph) and hands out thin and traditional slicers. Tools, examples,
 // and experiments all start here.
 //
-// Since the session refactor this package is a thin convenience
-// wrapper over package session: Analyze opens a session, drives the
-// artifact chain to the dependence graph, and bundles the results.
-// Callers that make repeated or multi-seed queries over the same
-// program should hold the session (Analysis.Session) or open one
-// directly.
+// This package is a thin wrapper over package session: its options are
+// the session's, and Analyze opens a session, drives the artifact chain
+// to the dependence graph, and bundles the results. Callers that make
+// repeated or multi-seed queries over the same program should hold the
+// session (Analysis.Session) or open one directly.
 package analyzer
 
 import (
 	"context"
-	"time"
 
 	"thinslice/internal/analysis/pointsto"
 	"thinslice/internal/budget"
 	"thinslice/internal/core"
 	"thinslice/internal/ir"
-	"thinslice/internal/lang/prelude"
 	"thinslice/internal/lang/types"
 	"thinslice/internal/sdg"
 	"thinslice/internal/session"
@@ -48,67 +45,21 @@ func (a *Analysis) Partial() bool {
 	return (a.Pts != nil && a.Pts.Truncated) || (a.Graph != nil && a.Graph.Truncated)
 }
 
-type config struct {
-	objSens    bool
-	containers []string
-	entries    []string // qualified method names
-	noPrelude  bool
-	verifyIR   bool
-	budget     *budget.Budget
-	timeout    time.Duration
-	maxSteps   int64
-	workers    int
-	store      *session.Store
-}
+// Option configures Analyze. Options are the session's: anything that
+// configures session.Open configures Analyze the same way.
+type Option = session.Option
 
-// Option configures Analyze.
-type Option func(*config)
-
-// WithObjSens toggles object-sensitive container handling in the
-// pointer analysis (default on, the paper's precise configuration).
-func WithObjSens(on bool) Option { return func(c *config) { c.objSens = on } }
-
-// WithContainers overrides the set of container classes cloned
-// object-sensitively.
-func WithContainers(names []string) Option {
-	return func(c *config) { c.containers = names }
-}
-
-// WithEntries sets explicit entry methods by qualified name
-// (e.g. "Main.main"); default is every static method named main.
-func WithEntries(names ...string) Option {
-	return func(c *config) { c.entries = names }
-}
-
-// WithoutPrelude analyzes the sources without the container prelude.
-func WithoutPrelude() Option { return func(c *config) { c.noPrelude = true } }
-
-// WithVerifyIR runs ir.Verify over the lowered program and fails the
-// pipeline with the violations found. Tests enable it unconditionally;
-// production callers can opt in to catch lowering bugs at the cost of
-// one extra pass over the IR.
-func WithVerifyIR() Option { return func(c *config) { c.verifyIR = true } }
-
-// WithBudget bounds the whole pipeline by an explicit budget. It takes
-// precedence over WithTimeout/WithMaxSteps and the context passed to
-// AnalyzeCtx.
-func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b } }
-
-// WithTimeout bounds the whole pipeline by a wall-clock timeout.
-func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
-
-// WithMaxSteps caps every phase at n steps (see budget.WithSteps).
-func WithMaxSteps(n int64) Option { return func(c *config) { c.maxSteps = n } }
-
-// WithWorkers sets the worker count for the parallel construction
-// phases (SSA lowering, dependence-graph build): 1 forces sequential
-// builds, 0 (the default) selects GOMAXPROCS. Output is byte-identical
-// either way.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// InStore places the analysis' artifacts in an existing session store,
-// sharing cached phases with every other analysis using that store.
-func InStore(st *session.Store) Option { return func(c *config) { c.store = st } }
+// The analysis options, re-exported from package session.
+var (
+	WithObjSens    = session.WithObjSens
+	WithContainers = session.WithContainers
+	WithEntries    = session.WithEntries
+	WithoutPrelude = session.WithoutPrelude
+	WithVerifyIR   = session.WithVerifyIR
+	WithBudget     = session.WithBudget
+	WithWorkers    = session.WithWorkers
+	InStore        = session.InStore
+)
 
 // Analyze runs the pipeline over the given sources (name → content).
 func Analyze(sources map[string]string, opts ...Option) (*Analysis, error) {
@@ -116,46 +67,15 @@ func Analyze(sources map[string]string, opts ...Option) (*Analysis, error) {
 }
 
 // AnalyzeCtx is Analyze bounded by a context: cancellation, context
-// deadline, and any WithBudget/WithTimeout/WithMaxSteps options stop
-// the pipeline promptly with a typed, phase-tagged error (see package
-// budget) — or, for step exhaustion past the points-to phase, a partial
-// Analysis for which Partial reports true. It never panics: internal
-// faults surface as *budget.ErrInternal tagged with the running phase.
+// deadline, and a WithBudget option (which takes precedence over ctx)
+// stop the pipeline promptly with a typed, phase-tagged error (see
+// package budget) — or, for step exhaustion past the points-to phase, a
+// partial Analysis for which Partial reports true. It never panics:
+// internal faults surface as *budget.ErrInternal tagged with the
+// running phase.
 func AnalyzeCtx(ctx context.Context, sources map[string]string, opts ...Option) (*Analysis, error) {
-	cfg := config{objSens: true, containers: prelude.ContainerClasses}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	b := cfg.budget
-	if b == nil {
-		var bopts []budget.Option
-		if cfg.timeout > 0 {
-			bopts = append(bopts, budget.WithTimeout(cfg.timeout))
-		}
-		if cfg.maxSteps > 0 {
-			bopts = append(bopts, budget.WithSteps(cfg.maxSteps))
-		}
-		b = budget.New(ctx, bopts...)
-	}
-
-	sopts := []session.Option{
-		session.WithObjSens(cfg.objSens),
-		session.WithContainers(cfg.containers),
-		session.WithEntries(cfg.entries...),
-		session.WithBudget(b),
-		session.WithWorkers(cfg.workers),
-	}
-	if cfg.noPrelude {
-		sopts = append(sopts, session.WithoutPrelude())
-	}
-	if cfg.verifyIR {
-		sopts = append(sopts, session.WithVerifyIR())
-	}
-	if cfg.store != nil {
-		sopts = append(sopts, session.InStore(cfg.store))
-	}
-	sess := session.Open(sources, sopts...)
-	return FromSession(sess)
+	opts = append([]Option{WithBudget(budget.New(ctx))}, opts...)
+	return FromSession(session.Open(sources, opts...))
 }
 
 // FromSession drives an existing session to a full Analysis: the

@@ -75,7 +75,8 @@ func TestDeadlineDuringAnalysisIsPrompt(t *testing.T) {
 	defer reg.Install()()
 
 	start := time.Now()
-	_, err := analyzer.Analyze(sources, analyzer.WithTimeout(50*time.Millisecond))
+	_, err := analyzer.Analyze(sources,
+		analyzer.WithBudget(budget.New(context.Background(), budget.WithTimeout(50*time.Millisecond))))
 	elapsed := time.Since(start)
 	if !budget.IsCanceled(err) {
 		t.Fatalf("Analyze = %v, want a canceled (deadline) budget error", err)

@@ -75,7 +75,7 @@ func TestAdversarialCorpusNoPanic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
 			a, err := analyzer.Analyze(map[string]string{"t.mj": tc.src},
-				analyzer.WithTimeout(2*time.Second))
+				analyzer.WithBudget(budget.New(context.Background(), budget.WithTimeout(2*time.Second))))
 			if elapsed := time.Since(start); elapsed > 2500*time.Millisecond {
 				t.Fatalf("Analyze took %v, want ≈2s budget", elapsed)
 			}
@@ -96,7 +96,7 @@ func TestAdversarialCorpusNoPanic(t *testing.T) {
 func TestAnalyzeNeverPanicsProperty(t *testing.T) {
 	prop := func(src string) bool {
 		a, err := analyzer.Analyze(map[string]string{"t.mj": src},
-			analyzer.WithTimeout(2*time.Second))
+			analyzer.WithBudget(budget.New(context.Background(), budget.WithTimeout(2*time.Second))))
 		var internal *budget.ErrInternal
 		if errors.As(err, &internal) {
 			t.Logf("source %q: internal fault %v", src, internal)
@@ -121,7 +121,7 @@ func TestAnalyzeNeverPanicsOnMutatedValidSource(t *testing.T) {
 	}
 	for i, src := range cases {
 		a, err := analyzer.Analyze(map[string]string{"t.mj": src},
-			analyzer.WithTimeout(2*time.Second))
+			analyzer.WithBudget(budget.New(context.Background(), budget.WithTimeout(2*time.Second))))
 		var internal *budget.ErrInternal
 		if errors.As(err, &internal) {
 			t.Fatalf("mutation %d: internal fault %v\n%s", i, internal, internal.Stack)
@@ -207,7 +207,7 @@ func TestContextDeadlineBoundsAnalysis(t *testing.T) {
 func TestStepExhaustionDegradesGracefully(t *testing.T) {
 	a, err := analyzer.Analyze(map[string]string{
 		papercases.FirstNamesFile: papercases.FirstNames,
-	}, analyzer.WithMaxSteps(20))
+	}, analyzer.WithBudget(budget.New(context.Background(), budget.WithSteps(20))))
 	if err != nil {
 		t.Fatalf("exhaustion should degrade, not fail: %v", err)
 	}
@@ -235,7 +235,8 @@ func TestGenerousBudgetIsInvisible(t *testing.T) {
 	}
 	bounded, err := analyzer.Analyze(map[string]string{
 		papercases.FirstNamesFile: papercases.FirstNames,
-	}, analyzer.WithTimeout(30*time.Second), analyzer.WithMaxSteps(10_000_000))
+	}, analyzer.WithBudget(budget.New(context.Background(),
+		budget.WithTimeout(30*time.Second), budget.WithSteps(10_000_000))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,10 +163,10 @@ func collectJobs(info *types.Info) []*types.MethodInfo {
 	return jobs
 }
 
-// assembleProgram stitches per-job methods into a Program exactly as
-// LowerWorkers does: methods in job order, diagnostics merged in method
-// order, dense program-unique instruction IDs in one deterministic
-// pass.
+// assembleProgram stitches per-job methods into a Program, for both
+// LowerWorkers and LowerUnits: methods in job order, diagnostics merged
+// in method order, dense program-unique instruction IDs in one
+// deterministic pass.
 func assembleProgram(info *types.Info, jobs []*types.MethodInfo, methods []*Method, diags []Diagnostics) *Program {
 	prog := &Program{Info: info, MethodOf: make(map[*types.MethodInfo]*Method, len(jobs))}
 	for i, mi := range jobs {

@@ -25,42 +25,11 @@ func Lower(info *types.Info) *Program { return LowerWorkers(info, 1) }
 // diagnostics keep method order, and the dense program-unique
 // instruction IDs are assigned in one deterministic pass at the end.
 func LowerWorkers(info *types.Info, workers int) *Program {
-	prog := &Program{Info: info, MethodOf: make(map[*types.MethodInfo]*Method)}
-	// Collect the lowering jobs in deterministic declaration order.
-	var jobs []*types.MethodInfo
-	for _, decl := range info.Prog.Classes {
-		ci := info.Classes[decl.Name]
-		if ci == nil || ci.Decl != decl {
-			continue
-		}
-		for _, mdecl := range decl.Methods {
-			if mi := info.MethodOfDecl[mdecl]; mi != nil {
-				jobs = append(jobs, mi)
-			}
-		}
-		if ci.Ctor != nil && ci.Ctor.Decl == nil {
-			jobs = append(jobs, ci.Ctor) // synthesized default constructor
-		}
-	}
-
+	jobs := collectJobs(info)
 	methods := make([]*Method, len(jobs))
 	diags := make([]Diagnostics, len(jobs))
 	lowerAll(info, jobs, methods, diags, workers)
-
-	for i, mi := range jobs {
-		prog.Methods = append(prog.Methods, methods[i])
-		prog.MethodOf[mi] = methods[i]
-		prog.Diags = append(prog.Diags, diags[i]...)
-	}
-	// Assign dense program-unique instruction IDs.
-	for _, m := range prog.Methods {
-		m.Instrs(func(ins Instr) {
-			ins.setID(prog.NumInstrs)
-			prog.NumInstrs++
-			prog.instrByID = append(prog.instrByID, ins)
-		})
-	}
-	return prog
+	return assembleProgram(info, jobs, methods, diags)
 }
 
 // lowerParallelMinStmts gates the worker pool: below this many

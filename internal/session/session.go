@@ -9,13 +9,22 @@
 // and editing one source file invalidates exactly the artifacts
 // downstream of it.
 //
+// Every artifact is reached through one tier chain, lookup: the
+// in-memory store, then the disk tier (WithDiskCache) and a peer
+// (WithRemoteFetch), where a record that fails to decode is quarantined,
+// then a build. An artifact inherits the completeness of its inputs:
+// only a complete value built from complete inputs is cached or
+// published, so a budget-truncated or degraded result, and everything
+// derived from it, reaches only the caller that asked for it.
+//
 // Sessions also own the parallel construction paths: per-method SSA
 // lowering (ir.LowerWorkers) and dependence-graph construction
 // (sdg.BuildWorkers) run over bounded worker pools and produce output
 // byte-identical to the sequential builds, so worker count never keys
 // the cache.
 //
-// analyzer.Analyze is a thin convenience wrapper over this package.
+// Package analyzer re-exports this package's options and wraps a
+// session in its one-shot Analyze.
 package session
 
 import (
@@ -100,7 +109,8 @@ func WithoutPrelude() Option { return func(c *config) { c.noPrelude = true } }
 func WithVerifyIR() Option { return func(c *config) { c.verifyIR = true } }
 
 // WithBudget bounds every phase the session runs by the given budget.
-// Artifacts a budget truncates or degrades are never cached.
+// Artifacts a budget truncates or degrades, and every artifact derived
+// from them, are never cached.
 func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b } }
 
 // WithWorkers sets the worker count for the parallel construction
@@ -180,7 +190,6 @@ type Session struct {
 // so they carry their own revision marker (sdgDepg) and may lag the
 // points-to state when Graph() is queried less often than PointsTo().
 type retained struct {
-	srcKey  Key
 	depg    *depgraph.Graph
 	prog    *ir.Program
 	pts     *pointsto.Result
@@ -398,51 +407,109 @@ func parsedPrelude() ([]*ast.ClassDecl, bool, error) {
 	return preludeCache.classes, false, nil
 }
 
-// diskGet returns the verified record payload stored under (kind, key)
-// in the session's disk tier, or nil. Container-level corruption is
-// already quarantined inside the cache.
-func (s *Session) diskGet(kind string, key Key) []byte {
-	if s.cfg.disk != nil {
-		if payload, ok := s.cfg.disk.Get(kind, string(key)); ok {
-			return payload
-		}
-	}
-	if s.cfg.remote != nil {
-		if payload := s.cfg.remote(kind, key); payload != nil {
-			// Publish locally first: if structural decoding then rejects
-			// the payload, the caller's diskQuarantine removes and counts
-			// it, and the rebuild re-publishes clean bytes.
-			if s.cfg.disk != nil {
-				_ = s.cfg.disk.Put(kind, string(key), payload)
+// artifact describes one session artifact to lookup: the phase that
+// builds it, its store key, its disk record kind, how to build it, and
+// how it crosses the disk and peer tiers. Completeness is inherited: a
+// value is cached and published only when it is complete and every
+// input it was derived from is complete.
+type artifact[T any] struct {
+	phase budget.Phase
+	key   Key
+	// kind names the disk and peer record; "" keeps the artifact in
+	// memory only.
+	kind   string
+	decode func([]byte) (T, error)
+	encode func(T) ([]byte, error)
+	build  func() (T, error)
+	// partialInputs marks an artifact derived from a truncated or
+	// degraded input. Its key does not say so, so the value is built
+	// fresh, neither read from nor written to any tier.
+	partialInputs bool
+	// partial reports whether a built value is itself incomplete (nil:
+	// never).
+	partial func(T) bool
+}
+
+// lookup returns a's value through the session's tier chain: the
+// in-memory store, then the disk tier and the peer (a record that fails
+// to decode is quarantined), then build. Only a complete value built
+// from complete inputs is cached and published; anything else reaches
+// this caller alone. The phase boundary (budget check, hook, panic
+// recovery) wraps the whole chain once per call.
+func lookup[T any](s *Session, a artifact[T]) (T, error) {
+	var val T
+	err := s.phase(a.phase, func() error {
+		v, err := s.cfg.store.get(a.key, a.phase, func() (any, bool, error) {
+			if !a.partialInputs {
+				if v, ok := a.fetch(s); ok {
+					return v, true, nil
+				}
 			}
-			return payload
+			v, err := a.build()
+			if err != nil {
+				return nil, false, err
+			}
+			if a.partialInputs || (a.partial != nil && a.partial(v)) {
+				return v, false, nil
+			}
+			a.publish(s, v)
+			return v, true, nil
+		})
+		if err == nil {
+			val = v.(T)
+		}
+		return err
+	})
+	return val, err
+}
+
+// fetch reads a's record from the disk tier, then from the peer, and
+// decodes it. A peer payload is published to the local disk first, so a
+// payload that then fails to decode is quarantined like a corrupt local
+// record and the rebuild re-publishes clean bytes: a byzantine source
+// can cause a rebuild but never a wrong answer.
+func (a artifact[T]) fetch(s *Session) (T, bool) {
+	var zero T
+	if a.kind == "" {
+		return zero, false
+	}
+	var payload []byte
+	if s.cfg.disk != nil {
+		payload, _ = s.cfg.disk.Get(a.kind, string(a.key))
+	}
+	if payload == nil && s.cfg.remote != nil {
+		if payload = s.cfg.remote(a.kind, a.key); payload != nil && s.cfg.disk != nil {
+			_ = s.cfg.disk.Put(a.kind, string(a.key), payload)
 		}
 	}
-	return nil
-}
-
-// diskQuarantine reports a record whose container verified but whose
-// payload failed structural decoding — content corruption the artifact
-// layer cannot see. The entry is removed so the rebuild can re-publish.
-func (s *Session) diskQuarantine(kind string, key Key, err error) {
-	if s.cfg.disk != nil {
-		s.cfg.disk.Quarantine(kind, string(key), err.Error())
+	if payload == nil {
+		return zero, false
 	}
-}
-
-// diskPut encodes and publishes an artifact. Encode or publish failures
-// are swallowed: persistence is an optimization, never a correctness
-// dependency.
-func (s *Session) diskPut(kind string, key Key, encode func() ([]byte, error)) {
-	if s.cfg.disk == nil {
-		return
-	}
-	payload, err := encode()
+	v, err := a.decode(payload)
 	if err != nil {
+		if s.cfg.disk != nil {
+			s.cfg.disk.Quarantine(a.kind, string(a.key), err.Error())
+		}
+		return zero, false
+	}
+	return v, true
+}
+
+// publish encodes v and writes it to the disk tier. Encode or write
+// failures are dropped: persistence is an optimization, never a
+// correctness dependency.
+func (a artifact[T]) publish(s *Session, v T) {
+	if a.kind == "" || s.cfg.disk == nil {
 		return
 	}
-	_ = s.cfg.disk.Put(kind, string(key), payload)
+	if payload, err := a.encode(v); err == nil {
+		_ = s.cfg.disk.Put(a.kind, string(a.key), payload)
+	}
 }
+
+// partialPts reports whether a points-to result stopped early, which
+// makes every artifact derived from it partial too.
+func partialPts(pts *pointsto.Result) bool { return pts.Truncated || pts.Downgraded }
 
 // parseResult is the cached artifact of parsing one file. Parse errors
 // are deterministic properties of the content, so they are cached too
@@ -455,11 +522,11 @@ type parseResult struct {
 // Info returns the parsed and type-checked program, building (or
 // fetching) per-file ASTs and the typed Info on demand.
 func (s *Session) Info() (*types.Info, error) {
-	var info *types.Info
-	err := s.phase(budget.PhaseLoad, func() error {
-		names, srcs, srcKey := s.snapshot()
-		key := hashParts("check", string(srcKey))
-		v, err := s.cfg.store.get(key, budget.PhaseLoad, func() (any, bool, error) {
+	names, srcs, srcKey := s.snapshot()
+	return lookup(s, artifact[*types.Info]{
+		phase: budget.PhaseLoad,
+		key:   hashParts("check", string(srcKey)),
+		build: func() (*types.Info, error) {
 			prog := &ast.Program{}
 			var all parser.ErrorList
 			for _, name := range names {
@@ -471,25 +538,12 @@ func (s *Session) Info() (*types.Info, error) {
 				}
 			}
 			if len(all) > 0 {
-				return nil, false, all
+				return nil, all
 			}
 			s.count(func(st *Stats) { st.Checks++ })
-			info, cerr := types.Check(prog)
-			if cerr != nil {
-				return nil, false, cerr
-			}
-			return info, true, nil
-		})
-		if err != nil {
-			return err
-		}
-		info = v.(*types.Info)
-		return nil
+			return types.Check(prog)
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return info, nil
 }
 
 // parseFile returns the AST of one file, via the process-wide prelude
@@ -524,65 +578,62 @@ func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *depgraph.Graph
-	err = s.phase(budget.PhaseLoad, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("depg", string(srcKey))
-		v, err := s.cfg.store.get(key, budget.PhaseLoad, func() (any, bool, error) {
-			if payload := s.diskGet("depg", key); payload != nil {
-				if decoded, derr := depgraph.DecodeGraph(payload); derr == nil {
-					return decoded, true, nil
-				} else {
-					s.diskQuarantine("depg", key, derr)
-				}
-			}
+	_, _, srcKey := s.snapshot()
+	return lookup(s, artifact[*depgraph.Graph]{
+		phase:  budget.PhaseLoad,
+		key:    hashParts("depg", string(srcKey)),
+		kind:   "depg",
+		decode: depgraph.DecodeGraph,
+		encode: depgraph.EncodeGraph,
+		build: func() (*depgraph.Graph, error) {
 			s.count(func(st *Stats) { st.Depgraphs++ })
-			built := depgraph.Build(info)
-			s.diskPut("depg", key, func() ([]byte, error) { return depgraph.EncodeGraph(built) })
-			return built, true, nil
-		})
-		if err != nil {
-			return err
-		}
-		g = v.(*depgraph.Graph)
-		return nil
+			return depgraph.Build(info), nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
-// unitStoreKey addresses one per-method IR payload. The depgraph unit
+// unitArtifact describes one per-method IR payload. The depgraph unit
 // key already covers file content and referenced-symbol fingerprints,
 // so two revisions (or two sessions) containing an identical unit share
 // the entry — including a Remove followed by re-Adding the same file.
-func unitStoreKey(depgraphKey string) Key { return hashParts("unit", depgraphKey) }
+// Decoding relinks the payload against info, so a record that could not
+// join the program is quarantined rather than failing the assembly.
+func unitArtifact(info *types.Info, u depgraph.Unit) artifact[[]byte] {
+	return artifact[[]byte]{
+		key:  hashParts("unit", u.Key),
+		kind: "unit",
+		decode: func(payload []byte) ([]byte, error) {
+			m, err := ir.DecodeUnit(payload, info)
+			if err == nil && m.Sig.QualifiedName() != u.QName {
+				err = fmt.Errorf("session: unit record for %s relinks to %s", u.QName, m.Sig.QualifiedName())
+			}
+			return payload, err
+		},
+		encode: func(payload []byte) ([]byte, error) { return payload, nil },
+	}
+}
 
-// lowerViaUnits assembles the program from per-method units: cached
-// payloads are cloned, the dirty frontier is re-lowered in Kahn-style
-// callee-first batches over the worker pool, and freshly derived units
-// are published back to the store (and disk tier) under their unit
-// keys. The result is byte-identical to ir.LowerWorkers.
-func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) (*ir.Program, error) {
+// lowerViaUnits assembles the program from per-method units: payloads
+// found in the store or fetched through the disk and peer tiers are
+// cloned, the dirty frontier is re-lowered in Kahn-style callee-first
+// batches over the worker pool, and freshly derived units are published
+// back to the store and disk tier. The result is byte-identical to
+// ir.LowerWorkers; nil means a unit failed to relink.
+func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) *ir.Program {
 	reuse := make(map[string][]byte, len(depg.Units))
-	cached := 0
 	dirty := make(map[string]bool)
 	for _, u := range depg.Units {
-		uk := unitStoreKey(u.Key)
-		if v, ok := s.cfg.store.peek(uk); ok {
+		unit := unitArtifact(info, u)
+		if v, ok := s.cfg.store.peek(unit.key); ok {
 			reuse[u.QName] = v.([]byte)
-			cached++
-			continue
-		}
-		if payload := s.diskGet("unit", uk); payload != nil {
+		} else if payload, ok := unit.fetch(s); ok {
 			reuse[u.QName] = payload
-			s.cfg.store.put(uk, payload)
-			cached++
-			continue
+			s.cfg.store.put(unit.key, payload)
+		} else {
+			dirty[u.QName] = true
 		}
-		dirty[u.QName] = true
 	}
+	cached := len(reuse)
 	fresh := map[string][]byte{}
 	if len(dirty) > 0 && cached > 0 {
 		// Warm rebuild: re-derive only the frontier, callees before
@@ -594,14 +645,14 @@ func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) (*ir.Pro
 	}
 	prog, lst, err := ir.LowerUnits(info, reuse, s.cfg.workers)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	s.count(func(st *Stats) {
 		st.UnitReuses += cached
 		st.UnitLowers += len(fresh) + lst.Lowered
 	})
 	if len(prog.Diags) > 0 {
-		return prog, nil // caller surfaces the diagnostics; publish nothing
+		return prog // the caller surfaces the diagnostics; publish nothing
 	}
 	var byQ map[string]*ir.Method
 	for _, u := range depg.Units {
@@ -618,11 +669,11 @@ func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) (*ir.Pro
 			}
 			payload = ir.EncodeUnit(byQ[u.QName])
 		}
-		uk := unitStoreKey(u.Key)
-		s.cfg.store.put(uk, payload)
-		s.diskPut("unit", uk, func() ([]byte, error) { return payload, nil })
+		unit := unitArtifact(info, u)
+		s.cfg.store.put(unit.key, payload)
+		unit.publish(s, payload)
 	}
-	return prog, nil
+	return prog
 }
 
 // Prog returns the SSA IR lowered from the typed program, verified
@@ -639,40 +690,27 @@ func (s *Session) Prog() (*ir.Program, error) {
 			return nil, err
 		}
 	}
-	var prog *ir.Program
-	err = s.phase(budget.PhaseLower, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("ir", string(srcKey), strconv.FormatBool(s.cfg.verifyIR))
-		v, err := s.cfg.store.get(key, budget.PhaseLower, func() (any, bool, error) {
-			if payload := s.diskGet("ir", key); payload != nil {
-				if p, derr := ir.DecodeProgram(payload, info); derr == nil {
-					return p, true, nil
-				} else {
-					s.diskQuarantine("ir", key, derr)
-				}
-			}
+	_, _, srcKey := s.snapshot()
+	prog, err := lookup(s, artifact[*ir.Program]{
+		phase:  budget.PhaseLower,
+		key:    hashParts("ir", string(srcKey), strconv.FormatBool(s.cfg.verifyIR)),
+		kind:   "ir",
+		decode: func(payload []byte) (*ir.Program, error) { return ir.DecodeProgram(payload, info) },
+		encode: ir.EncodeProgram,
+		build: func() (*ir.Program, error) {
 			var p *ir.Program
 			if depg != nil {
-				var lerr error
-				if p, lerr = s.lowerViaUnits(info, depg); lerr != nil {
-					p = nil // unit payload failed to relink: fall back to a full lower
-				}
+				p = s.lowerViaUnits(info, depg)
 			}
 			if p == nil {
 				s.count(func(st *Stats) { st.Lowers++ })
 				p = ir.LowerWorkers(info, s.cfg.workers)
 			}
 			if len(p.Diags) > 0 {
-				return nil, false, p.Diags
+				return nil, p.Diags
 			}
-			s.diskPut("ir", key, func() ([]byte, error) { return ir.EncodeProgram(p) })
-			return p, true, nil
-		})
-		if err != nil {
-			return err
-		}
-		prog = v.(*ir.Program)
-		return nil
+			return p, nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -690,9 +728,11 @@ func (s *Session) Prog() (*ir.Program, error) {
 	return prog, nil
 }
 
-// ptsConfigKey captures the pointer-analysis configuration that shapes
-// the points-to artifact and everything derived from it.
-func (s *Session) ptsConfigKey(srcKey Key) Key {
+// ptsKey is the key of the points-to artifact: the source set plus the
+// pointer-analysis configuration. Every artifact derived from points-to
+// hashes it into its own key.
+func (s *Session) ptsKey() Key {
+	_, _, srcKey := s.snapshot()
 	return hashParts("pts", string(srcKey),
 		strconv.FormatBool(s.cfg.objSens),
 		strings.Join(s.cfg.containers, "\x00"),
@@ -723,11 +763,11 @@ func (s *Session) ptsConfig(entries []*ir.Method) pointsto.Config {
 // trySolveDelta attempts the incremental pointer re-solve against the
 // session's retained state. Any structural obstacle — no retained
 // state, an unmappable program pair, or a SolveDelta safety-net error —
-// reports false and the caller runs the full analysis.
-func (s *Session) trySolveDelta(prog *ir.Program, depg *depgraph.Graph, entries []*ir.Method) (*pointsto.Result, bool) {
+// reports nil and the caller runs the full analysis.
+func (s *Session) trySolveDelta(prog *ir.Program, depg *depgraph.Graph, entries []*ir.Method) *pointsto.Result {
 	last := s.retainedState()
 	if last.pts == nil || last.prog == nil || last.depg == nil {
-		return nil, false
+		return nil
 	}
 	d := depgraph.Diff(last.depg, depg)
 	removed := append(append([]string(nil), d.Changed...), d.Removed...)
@@ -744,14 +784,14 @@ func (s *Session) trySolveDelta(prog *ir.Program, depg *depgraph.Graph, entries 
 	}
 	pm, err := ir.MapPrograms(last.prog, prog, unchanged)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	res, _, err := pointsto.SolveDelta(last.pts, prog, pm, removed, added, s.ptsConfig(entries))
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	s.count(func(st *Stats) { st.DeltaSolves++ })
-	return res, true
+	return res
 }
 
 // PointsTo returns the pointer-analysis result. Truncated or
@@ -770,61 +810,42 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 			return nil, err
 		}
 	}
-	var pts *pointsto.Result
-	err = s.phase(budget.PhasePointsTo, func() error {
-		entries, err := resolveEntries(prog, s.cfg.entries)
-		if err != nil {
-			return err
-		}
-		_, _, srcKey := s.snapshot()
-		key := s.ptsConfigKey(srcKey)
-		v, err := s.cfg.store.get(key, budget.PhasePointsTo, func() (any, bool, error) {
-			if payload := s.diskGet("pts", key); payload != nil {
-				if res, derr := pointsto.DecodeResult(payload, prog); derr == nil {
-					return res, true, nil
-				} else {
-					s.diskQuarantine("pts", key, derr)
-				}
+	return lookup(s, artifact[*pointsto.Result]{
+		phase:   budget.PhasePointsTo,
+		key:     s.ptsKey(),
+		kind:    "pts",
+		decode:  func(payload []byte) (*pointsto.Result, error) { return pointsto.DecodeResult(payload, prog) },
+		encode:  pointsto.EncodeResult,
+		partial: partialPts,
+		build: func() (*pointsto.Result, error) {
+			entries, err := resolveEntries(prog, s.cfg.entries)
+			if err != nil {
+				return nil, err
 			}
 			var res *pointsto.Result
-			if s.deltaCapable() && depg != nil {
-				res, _ = s.trySolveDelta(prog, depg, entries)
+			if s.deltaCapable() {
+				res = s.trySolveDelta(prog, depg, entries)
 			}
 			if res == nil {
 				s.count(func(st *Stats) { st.PointsTos++ })
-				var aerr error
-				res, aerr = pointsto.Analyze(prog, s.ptsConfig(entries))
-				if aerr != nil {
-					return nil, false, aerr
+				if res, err = pointsto.Analyze(prog, s.ptsConfig(entries)); err != nil {
+					return nil, err
 				}
 			}
-			cacheable := !res.Truncated && !res.Downgraded
-			if cacheable {
-				if s.deltaCapable() && depg != nil {
-					s.updateRetained(func(r *retained) {
-						r.srcKey, r.depg, r.prog, r.pts = srcKey, depg, prog, res
-					})
-				}
-				s.diskPut("pts", key, func() ([]byte, error) { return pointsto.EncodeResult(res) })
+			// Unbudgeted, so complete: safe to seed the next delta.
+			if s.deltaCapable() {
+				s.updateRetained(func(r *retained) { r.depg, r.prog, r.pts = depg, prog, res })
 			}
-			return res, cacheable, nil
-		})
-		if err != nil {
-			return err
-		}
-		pts = v.(*pointsto.Result)
-		return nil
+			return res, nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
 }
 
 // Graph returns the dependence graph, built in parallel when the
-// session's worker count allows. Truncated graphs are not cached.
-// Incremental sessions rebuild it off the previous build's per-method
-// templates, recomputing only the points-to-derived edges.
+// session's worker count allows. Truncated graphs, and graphs over a
+// truncated or degraded points-to result, are not cached. Incremental
+// sessions rebuild it off the previous build's per-method templates,
+// recomputing only the points-to-derived edges.
 func (s *Session) Graph() (*sdg.Graph, error) {
 	pts, err := s.PointsTo()
 	if err != nil {
@@ -840,59 +861,37 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 			return nil, err
 		}
 	}
-	var g *sdg.Graph
-	err = s.phase(budget.PhaseSDG, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("sdg", string(s.ptsConfigKey(srcKey)))
-		v, err := s.cfg.store.get(key, budget.PhaseSDG, func() (any, bool, error) {
-			if payload := s.diskGet("sdg", key); payload != nil {
-				if graph, derr := sdg.DecodeGraph(payload, prog, pts); derr == nil {
-					return graph, true, nil
+	return lookup(s, artifact[*sdg.Graph]{
+		phase:         budget.PhaseSDG,
+		key:           hashParts("sdg", string(s.ptsKey())),
+		kind:          "sdg",
+		decode:        func(payload []byte) (*sdg.Graph, error) { return sdg.DecodeGraph(payload, prog, pts) },
+		encode:        sdg.EncodeGraph,
+		partialInputs: partialPts(pts),
+		partial:       func(g *sdg.Graph) bool { return g.Truncated },
+		build: func() (*sdg.Graph, error) {
+			if !s.deltaCapable() {
+				s.count(func(st *Stats) { st.SDGs++ })
+				return sdg.BuildWorkers(prog, pts, s.cfg.budget, s.cfg.workers)
+			}
+			last := s.retainedState()
+			var changed []string
+			if last.sdgSt != nil {
+				d := depgraph.Diff(last.sdgDepg, depg)
+				changed = append(append([]string(nil), d.Changed...), d.Added...)
+			}
+			graph, st, _ := sdg.BuildDelta(prog, pts, last.sdgSt, changed)
+			s.count(func(stt *Stats) {
+				if last.sdgSt != nil {
+					stt.DeltaSDGs++
 				} else {
-					s.diskQuarantine("sdg", key, derr)
+					stt.SDGs++
 				}
-			}
-			if s.deltaCapable() && depg != nil && !pts.Truncated && !pts.Downgraded {
-				last := s.retainedState()
-				var prevSt *sdg.BuildState
-				var changed []string
-				if last.sdgSt != nil && last.sdgDepg != nil {
-					d := depgraph.Diff(last.sdgDepg, depg)
-					changed = append(append([]string(nil), d.Changed...), d.Added...)
-					prevSt = last.sdgSt
-				}
-				graph, st, _ := sdg.BuildDelta(prog, pts, prevSt, changed)
-				s.count(func(stt *Stats) {
-					if prevSt != nil {
-						stt.DeltaSDGs++
-					} else {
-						stt.SDGs++
-					}
-				})
-				s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
-				s.diskPut("sdg", key, func() ([]byte, error) { return sdg.EncodeGraph(graph) })
-				return graph, true, nil
-			}
-			s.count(func(st *Stats) { st.SDGs++ })
-			graph, err := sdg.BuildWorkers(prog, pts, s.cfg.budget, s.cfg.workers)
-			if err != nil {
-				return nil, false, err
-			}
-			if !graph.Truncated {
-				s.diskPut("sdg", key, func() ([]byte, error) { return sdg.EncodeGraph(graph) })
-			}
-			return graph, !graph.Truncated, nil
-		})
-		if err != nil {
-			return err
-		}
-		g = v.(*sdg.Graph)
-		return nil
+			})
+			s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
+			return graph, nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // CHA returns the class-hierarchy call graph rooted at the analysis
@@ -906,33 +905,18 @@ func (s *Session) CHA() (*cha.CallGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cg *cha.CallGraph
-	err = s.phase(budget.PhaseCheck, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("cha", string(s.ptsConfigKey(srcKey)))
-		v, err := s.cfg.store.get(key, budget.PhaseCheck, func() (any, bool, error) {
-			if payload := s.diskGet("cha", key); payload != nil {
-				if decoded, derr := cha.DecodeCallGraph(payload, prog); derr == nil {
-					return decoded, true, nil
-				} else {
-					s.diskQuarantine("cha", key, derr)
-				}
-			}
+	return lookup(s, artifact[*cha.CallGraph]{
+		phase:         budget.PhaseCheck,
+		key:           hashParts("cha", string(s.ptsKey())),
+		kind:          "cha",
+		decode:        func(payload []byte) (*cha.CallGraph, error) { return cha.DecodeCallGraph(payload, prog) },
+		encode:        cha.EncodeCallGraph,
+		partialInputs: partialPts(pts),
+		build: func() (*cha.CallGraph, error) {
 			s.count(func(st *Stats) { st.CHAs++ })
-			built := cha.Build(prog, pts.Entries())
-			s.diskPut("cha", key, func() ([]byte, error) { return cha.EncodeCallGraph(built) })
-			return built, true, nil
-		})
-		if err != nil {
-			return err
-		}
-		cg = v.(*cha.CallGraph)
-		return nil
+			return cha.Build(prog, pts.Entries()), nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cg, nil
 }
 
 // ModRef returns the mod-ref summaries over the points-to result.
@@ -945,43 +929,26 @@ func (s *Session) ModRef() (*modref.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mr *modref.Result
-	err = s.phase(budget.PhaseCheck, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("modref", string(s.ptsConfigKey(srcKey)))
-		v, err := s.cfg.store.get(key, budget.PhaseCheck, func() (any, bool, error) {
-			if payload := s.diskGet("modref", key); payload != nil {
-				if decoded, derr := modref.DecodeResult(payload, prog, pts); derr == nil {
-					return decoded, true, nil
-				} else {
-					s.diskQuarantine("modref", key, derr)
-				}
-			}
+	return lookup(s, artifact[*modref.Result]{
+		phase:         budget.PhaseCheck,
+		key:           hashParts("modref", string(s.ptsKey())),
+		kind:          "modref",
+		decode:        func(payload []byte) (*modref.Result, error) { return modref.DecodeResult(payload, prog, pts) },
+		encode:        modref.EncodeResult,
+		partialInputs: partialPts(pts),
+		build: func() (*modref.Result, error) {
 			s.count(func(st *Stats) { st.ModRefs++ })
-			computed := modref.Compute(prog, pts)
-			s.diskPut("modref", key, func() ([]byte, error) { return modref.EncodeResult(computed) })
-			return computed, true, nil
-		})
-		if err != nil {
-			return err
-		}
-		mr = v.(*modref.Result)
-		return nil
+			return modref.Compute(prog, pts), nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mr, nil
 }
 
 // Dataflow returns the solved IFDS results for problem p over the
 // session's program, keyed by the problem's name and configuration on
 // top of the pointer-analysis configuration (so a source edit or a
 // points-to config change invalidates exactly the dataflow artifacts
-// downstream). Results are cached in memory and on disk; a result is
-// only cacheable when it and every upstream artifact it was computed
-// from is complete — a truncated solve, or a solve over a truncated
-// points-to or dependence graph, is returned but never cached.
+// downstream). A truncated solve, or a solve over a truncated points-to
+// result or dependence graph, is returned but never cached.
 func (s *Session) Dataflow(p dataflow.Problem) (*dataflow.Results, error) {
 	pts, err := s.PointsTo()
 	if err != nil {
@@ -999,42 +966,21 @@ func (s *Session) Dataflow(p dataflow.Problem) (*dataflow.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res *dataflow.Results
-	err = s.phase(budget.PhaseDataflow, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("df", string(s.ptsConfigKey(srcKey)), p.Name(), p.ConfigKey())
-		v, err := s.cfg.store.get(key, budget.PhaseDataflow, func() (any, bool, error) {
-			upstreamComplete := !pts.Truncated && !pts.Downgraded && !g.Truncated
-			if upstreamComplete {
-				if payload := s.diskGet("df", key); payload != nil {
-					if decoded, derr := dataflow.DecodeResults(payload, prog, pts, g); derr == nil {
-						return decoded, true, nil
-					} else {
-						s.diskQuarantine("df", key, derr)
-					}
-				}
-			}
+	return lookup(s, artifact[*dataflow.Results]{
+		phase: budget.PhaseDataflow,
+		key:   hashParts("df", string(s.ptsKey()), p.Name(), p.ConfigKey()),
+		kind:  "df",
+		decode: func(payload []byte) (*dataflow.Results, error) {
+			return dataflow.DecodeResults(payload, prog, pts, g)
+		},
+		encode:        dataflow.EncodeResults,
+		partialInputs: partialPts(pts) || g.Truncated,
+		partial:       func(r *dataflow.Results) bool { return r.Truncated },
+		build: func() (*dataflow.Results, error) {
 			s.count(func(st *Stats) { st.Dataflows++ })
-			solved, err := dataflow.Solve(dataflow.Inputs{Prog: prog, Pts: pts, Graph: g, CHA: cg}, p, s.cfg.budget)
-			if err != nil {
-				return nil, false, err
-			}
-			cacheable := upstreamComplete && !solved.Truncated
-			if cacheable {
-				s.diskPut("df", key, func() ([]byte, error) { return dataflow.EncodeResults(solved) })
-			}
-			return solved, cacheable, nil
-		})
-		if err != nil {
-			return err
-		}
-		res = v.(*dataflow.Results)
-		return nil
+			return dataflow.Solve(dataflow.Inputs{Prog: prog, Pts: pts, Graph: g, CHA: cg}, p, s.cfg.budget)
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // CSGraph returns the context-sensitive dependence graph with heap
@@ -1052,24 +998,15 @@ func (s *Session) CSGraph() (*csslice.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *csslice.Graph
-	err = s.phase(budget.PhaseSDG, func() error {
-		_, _, srcKey := s.snapshot()
-		key := hashParts("cs", string(s.ptsConfigKey(srcKey)))
-		v, err := s.cfg.store.get(key, budget.PhaseSDG, func() (any, bool, error) {
+	return lookup(s, artifact[*csslice.Graph]{
+		phase:         budget.PhaseSDG,
+		key:           hashParts("cs", string(s.ptsKey())),
+		partialInputs: partialPts(pts), // mr inherits pts's completeness
+		build: func() (*csslice.Graph, error) {
 			s.count(func(st *Stats) { st.CSGraphs++ })
-			return csslice.Build(prog, pts, mr), true, nil
-		})
-		if err != nil {
-			return err
-		}
-		g = v.(*csslice.Graph)
-		return nil
+			return csslice.Build(prog, pts, mr), nil
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // resolveEntries maps explicit entry names to methods. A name that

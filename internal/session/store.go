@@ -203,8 +203,8 @@ func (s *Store) peek(k Key) (any, bool) {
 
 // put caches v under k if the key is absent (existing entries,
 // completed or in flight, win — artifacts are content-addressed, so a
-// racing value is identical). Used to publish per-unit payloads as a
-// side effect of a whole-program lowering.
+// racing value is identical). Used by the per-method unit tier, which
+// probes with peek and fills the store for a whole batch of units.
 func (s *Store) put(k Key, v any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
