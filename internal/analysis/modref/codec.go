@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"sort"
 
-	"thinslice/internal/artifact"
 	"thinslice/internal/analysis/pointsto"
+	"thinslice/internal/artifact"
 	"thinslice/internal/ir"
 	"thinslice/internal/lang/types"
 )

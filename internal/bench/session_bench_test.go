@@ -95,7 +95,7 @@ func benchmarkSDGBuild(b *testing.B, workers int) {
 }
 
 func BenchmarkSDGBuildSequential(b *testing.B) { benchmarkSDGBuild(b, 1) }
-func BenchmarkSDGBuildParallel(b *testing.B)  { benchmarkSDGBuild(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkSDGBuildParallel(b *testing.B)   { benchmarkSDGBuild(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkLowerSequential and BenchmarkLowerParallel time per-method
 // SSA lowering alone.

@@ -12,8 +12,8 @@ package sdg
 import (
 	"fmt"
 
-	"thinslice/internal/artifact"
 	"thinslice/internal/analysis/pointsto"
+	"thinslice/internal/artifact"
 	"thinslice/internal/ir"
 )
 

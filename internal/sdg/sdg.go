@@ -162,7 +162,6 @@ type Graph struct {
 	returns map[*ir.Method][]*ir.Return
 }
 
-
 // NumNodes returns the number of statement instances (the paper's
 // "SDG Statements": scalar statements across call-graph clones,
 // without heap parameters).
@@ -607,7 +606,7 @@ func (g *Graph) lenDeps(lr heapAccess, add func(to Node, d Dep)) {
 		for _, src := range g.NodesOf(o.Site) {
 			if !seen[src] {
 				seen[src] = true
-			add(lr.node, Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
+				add(lr.node, Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
 			}
 		}
 	}
@@ -632,7 +631,6 @@ func (g *Graph) controlCtx(mc *pointsto.MCtx, cg *cdg.Graph, add func(to Node, d
 		}
 	})
 }
-
 
 // maskKey identifies a single-word points-to mask; loads with equal
 // masks match exactly the same stores, so per-field pairing caches the

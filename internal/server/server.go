@@ -182,7 +182,7 @@ type Response struct {
 	// Truncated marks partial results (budget exhaustion mid-slice or
 	// a degraded pointer analysis).
 	Truncated bool          `json:"truncated,omitempty"`
-	Slices []SliceResult `json:"slices,omitempty"`
+	Slices    []SliceResult `json:"slices,omitempty"`
 	// Findings is present (possibly empty) on every successful /check
 	// response — "no findings" must be distinguishable from "no data".
 	Findings []Finding `json:"findings"`
