@@ -57,7 +57,6 @@ var (
 	WithoutPrelude = session.WithoutPrelude
 	WithVerifyIR   = session.WithVerifyIR
 	WithBudget     = session.WithBudget
-	WithWorkers    = session.WithWorkers
 	InStore        = session.InStore
 )
 

@@ -18,8 +18,8 @@ import (
 )
 
 // openSession opens a fresh session (own store) over a benchmark.
-func openSession(b *bench.Benchmark, workers int) *session.Session {
-	return session.Open(b.Sources, session.WithWorkers(workers))
+func openSession(b *bench.Benchmark) *session.Session {
+	return session.Open(b.Sources)
 }
 
 // BenchmarkSessionColdBuild measures the full pipeline from sources to
@@ -28,7 +28,7 @@ func BenchmarkSessionColdBuild(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := openSession(bm, 1).Graph(); err != nil {
+		if _, err := openSession(bm).Graph(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkSessionColdBuild(b *testing.B) {
 // the backward closure.
 func BenchmarkSessionWarmRequery(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
-	s := openSession(bm, 1)
+	s := openSession(bm)
 	seeds := bm.QuerySeeds()[:1]
 	if _, err := s.SliceAll(core.Options{Mode: core.Thin}, seeds); err != nil {
 		b.Fatal(err)
@@ -57,7 +57,7 @@ func BenchmarkSessionWarmRequery(b *testing.B) {
 // a benchmark over one shared build.
 func BenchmarkSessionBatchAllSeeds(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
-	s := openSession(bm, 1)
+	s := openSession(bm)
 	seeds := bm.QuerySeeds()
 	if _, err := s.Graph(); err != nil {
 		b.Fatal(err)
@@ -71,12 +71,11 @@ func BenchmarkSessionBatchAllSeeds(b *testing.B) {
 	}
 }
 
-// BenchmarkSDGBuildSequential and BenchmarkSDGBuildParallel time the
-// dependence-graph construction alone; their outputs are byte-identical
-// (pinned by the sdg equivalence tests).
-func benchmarkSDGBuild(b *testing.B, workers int) {
+// BenchmarkSDGBuildSequential times the dependence-graph construction
+// alone.
+func BenchmarkSDGBuildSequential(b *testing.B) {
 	bm := bench.Generate("javac", 2)
-	s := openSession(bm, 1)
+	s := openSession(bm)
 	prog, err := s.Prog()
 	if err != nil {
 		b.Fatal(err)
@@ -88,18 +87,14 @@ func benchmarkSDGBuild(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sdg.BuildWorkers(prog, pts, nil, workers); err != nil {
+		if _, err := sdg.BuildBudget(prog, pts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSDGBuildSequential(b *testing.B) { benchmarkSDGBuild(b, 1) }
-func BenchmarkSDGBuildParallel(b *testing.B)   { benchmarkSDGBuild(b, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkLowerSequential and BenchmarkLowerParallel time per-method
-// SSA lowering alone.
-func benchmarkLower(b *testing.B, workers int) {
+// BenchmarkLowerSequential times per-method SSA lowering alone.
+func BenchmarkLowerSequential(b *testing.B) {
 	bm := bench.Generate("javac", 2)
 	info, err := loader.Load(bm.Sources)
 	if err != nil {
@@ -108,12 +103,9 @@ func benchmarkLower(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ir.LowerWorkers(info, workers)
+		ir.Lower(info)
 	}
 }
-
-func BenchmarkLowerSequential(b *testing.B) { benchmarkLower(b, 1) }
-func BenchmarkLowerParallel(b *testing.B)   { benchmarkLower(b, runtime.GOMAXPROCS(0)) }
 
 // --- recorded benchmark artifact ---
 
@@ -135,21 +127,17 @@ type sessionBenchRow struct {
 	// PtsSolveMS times the context-sensitive points-to solve alone
 	// (difference propagation + online cycle elimination).
 	PtsSolveMS float64 `json:"pts_solve_ms"`
-	// CSRBuildUS is the time one sequential build spends packing the
-	// dependence edges into the CSR arrays, in microseconds (near zero
-	// on the two-pass path, which fills final slots directly).
+	// CSRBuildUS is the time one build spends laying out the CSR arrays
+	// between its count and fill passes, in microseconds (near zero: the
+	// fill pass writes final slots directly).
 	CSRBuildUS float64 `json:"csr_build_us"`
 	// SliceTraverseUS is one warm thin-slice backward traversal over
 	// the CSR graph (artifacts already built), in microseconds.
 	SliceTraverseUS float64 `json:"slice_traverse_us"`
-	// SDG build timings, sequential vs worker-pool. Outputs are
-	// byte-identical; below the work threshold the pool is skipped, so
-	// small programs never pay pool overhead.
-	SDGSeqMS  float64 `json:"sdg_build_sequential_ms"`
-	SDGParMS  float64 `json:"sdg_build_parallel_ms"`
-	LowerSeq  float64 `json:"lower_sequential_ms"`
-	LowerPar  float64 `json:"lower_parallel_ms"`
-	ParWorker int     `json:"parallel_workers"`
+	// SDGSeqMS and LowerSeq time the dependence-graph build and the
+	// SSA lowering alone.
+	SDGSeqMS float64 `json:"sdg_build_sequential_ms"`
+	LowerSeq float64 `json:"lower_sequential_ms"`
 }
 
 // sessionBenchRun is one full measurement sweep at a fixed GOMAXPROCS.
@@ -184,18 +172,18 @@ func timeIt(f func()) float64 {
 }
 
 // measureRow runs one benchmark's full sweep at the current GOMAXPROCS.
-func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
+func measureRow(t *testing.T, name string, scale int) sessionBenchRow {
 	bm := bench.Generate(name, scale)
 	seeds := bm.QuerySeeds()
-	row := sessionBenchRow{Benchmark: name, Scale: scale, Seeds: len(seeds), ParWorker: workers}
+	row := sessionBenchRow{Benchmark: name, Scale: scale, Seeds: len(seeds)}
 
 	row.ColdBuildMS = timeIt(func() {
-		if _, err := openSession(bm, 1).Graph(); err != nil {
+		if _, err := openSession(bm).Graph(); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	s := openSession(bm, 1)
+	s := openSession(bm)
 	warm, err := s.SliceAll(core.Options{Mode: core.Thin}, seeds[:1])
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +202,7 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 	// Old regime: a fresh pipeline per seed. Sample one cold
 	// build + slice; per-seed cost is that times one.
 	row.PerSeedColdMS = timeIt(func() {
-		fresh := openSession(bm, 1)
+		fresh := openSession(bm)
 		if _, err := fresh.SliceAll(core.Options{Mode: core.Thin}, seeds[:1]); err != nil {
 			t.Fatal(err)
 		}
@@ -236,35 +224,8 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 			t.Fatal(err)
 		}
 	})
-	// Sequential and parallel builds are timed in interleaved rounds so
-	// host-load drift during the sweep biases neither side; below the
-	// work threshold both resolve to the same sequential construction
-	// and any recorded delta is measurement noise.
-	bestSeq, bestPar := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 9; i++ {
-		runtime.GC()
-		start := time.Now()
-		if _, err := sdg.BuildWorkers(prog, pts, nil, 1); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < bestSeq {
-			bestSeq = d
-		}
-		runtime.GC()
-		start = time.Now()
-		if _, err := sdg.BuildWorkers(prog, pts, nil, workers); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < bestPar {
-			bestPar = d
-		}
-	}
-	row.SDGSeqMS = float64(bestSeq) / float64(time.Millisecond)
-	row.SDGParMS = float64(bestPar) / float64(time.Millisecond)
-	g, err := sdg.BuildWorkers(prog, pts, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row.SDGSeqMS = timeIt(func() { sdg.Build(prog, pts) })
+	g := sdg.Build(prog, pts)
 	row.CSRBuildUS = float64(g.CSRBuildDuration()) / float64(time.Microsecond)
 
 	// Pure traversal: seed nodes already resolved, graph already built.
@@ -280,8 +241,7 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row.LowerSeq = timeIt(func() { ir.LowerWorkers(info, 1) })
-	row.LowerPar = timeIt(func() { ir.LowerWorkers(info, workers) })
+	row.LowerSeq = timeIt(func() { ir.Lower(info) })
 
 	if row.WarmRequeryUS/1000 > row.ColdBuildMS {
 		t.Errorf("%s: warm re-query (%.1fms) not faster than cold build (%.1fms)",
@@ -291,32 +251,30 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 }
 
 // TestRecordSessionBenchmarks measures the session workloads at
-// GOMAXPROCS 1 and 4 and records both sweeps in BENCH_session.json at
-// the repository root, giving the perf trajectory a committed
-// baseline. Skipped under -short.
+// GOMAXPROCS 1 and checks that a warm re-query beats a cold build. With
+// THINSLICE_RECORD=1 it also records the sweep in BENCH_session.json at
+// the repository root; run it alone (go test -p 1) so no other test
+// binary shares the CPUs. Skipped under -short.
 func TestRecordSessionBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark recording skipped in -short mode")
 	}
-	orig := runtime.GOMAXPROCS(0)
+	orig := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(orig)
 	report := sessionBenchReport{
 		HostCPUs: runtime.NumCPU(),
-		Note: "best of 7 per cell, freshly collected heap per round; runs sweep GOMAXPROCS 1 and 4; warm_requery_us and " +
+		Note: "best of 7 per cell, freshly collected heap per round, GOMAXPROCS 1; warm_requery_us and " +
 			"batch_all_seeds_ms are the headline wins (cached sessions skip " +
-			"parse/lower/points-to/SDG); parallel construction is byte-identical to " +
-			"sequential and falls back to the sequential path below a work threshold, " +
-			"so sdg_build_parallel_ms never pays pool overhead on small programs",
+			"parse/lower/points-to/SDG)",
 	}
 	const scale = 2
-	const workers = 4
-	for _, gmp := range []int{1, 4} {
-		runtime.GOMAXPROCS(gmp)
-		run := sessionBenchRun{GOMAXPROCS: gmp}
-		for _, name := range []string{"nanoxml", "javac"} {
-			run.Rows = append(run.Rows, measureRow(t, name, scale, workers))
-		}
-		report.Runs = append(report.Runs, run)
+	run := sessionBenchRun{GOMAXPROCS: 1}
+	for _, name := range []string{"nanoxml", "javac"} {
+		run.Rows = append(run.Rows, measureRow(t, name, scale))
+	}
+	report.Runs = append(report.Runs, run)
+	if os.Getenv("THINSLICE_RECORD") != "1" {
+		return
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

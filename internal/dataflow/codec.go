@@ -103,10 +103,14 @@ func DecodeResults(data []byte, prog *ir.Program, pts *pointsto.Result, g *sdg.G
 
 	numFacts := r.Len()
 	for i := 0; i < numFacts; i++ {
-		kind := FactKind(r.Uvarint())
+		rawKind := r.Uvarint()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
+		if rawKind > uint64(KindStatic) {
+			return nil, fmt.Errorf("dataflow: decode: bad fact kind %d", rawKind)
+		}
+		kind := FactKind(rawKind)
 		var got Fact
 		switch kind {
 		case KindReg:

@@ -407,6 +407,25 @@ func TestCodecRejectsCorruption(t *testing.T) {
 					t.Fatalf("truncation at %d accepted", cut)
 				}
 			}
+			// A fact kind past the last one must be rejected before it
+			// is narrowed to a FactKind, where kind+256 reads as kind.
+			res, err := dataflow.DecodeResults(enc, w.in.Prog, w.in.Pts, w.in.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var head artifact.Writer
+			head.String(res.Name)
+			head.String(res.ConfigKey)
+			head.Uvarint(uint64(res.Facts().NumFacts() - 1))
+			at := len(head.Bytes()) // the first descriptor's one-byte kind
+			for _, kind := range []uint64{uint64(enc[at]) + 256, uint64(enc[at]) + 1<<32} {
+				var k artifact.Writer
+				k.Uvarint(kind)
+				mut := append(append(append([]byte(nil), enc[:at]...), k.Bytes()...), enc[at+1:]...)
+				if decode(fmt.Sprintf("fact kind %d", kind), mut) == nil {
+					t.Errorf("fact kind %d accepted", kind)
+				}
+			}
 		})
 	}
 }

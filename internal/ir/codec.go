@@ -315,7 +315,7 @@ func newLinker(info *types.Info) *linker {
 		fields:    make(map[string]*types.FieldInfo),
 		typeCache: make(map[string]types.Type),
 	}
-	for _, ci := range info.Classes {
+	for _, ci := range info.Classes { //determinism:ok — fills lookups keyed by unique qualified names
 		for _, mi := range ci.Methods {
 			l.methods[mi.QualifiedName()] = mi
 		}

@@ -8,8 +8,19 @@ import (
 	"thinslice/internal/ir"
 	"thinslice/internal/lang/loader"
 	"thinslice/internal/lang/types"
+	"thinslice/internal/papercases"
 	"thinslice/internal/randprog"
 )
+
+// paperSources enumerates the paper's running examples.
+func paperSources() map[string]map[string]string {
+	return map[string]map[string]string{
+		"firstnames": {papercases.FirstNamesFile: papercases.FirstNames},
+		"toy":        {papercases.ToyFile: papercases.Toy},
+		"filebug":    {papercases.FileBugFile: papercases.FileBug},
+		"toughcast":  {papercases.ToughCastFile: papercases.ToughCast},
+	}
+}
 
 // roundTrip encodes prog, decodes it against the same checked info,
 // and asserts the decoded program is listing-identical (instruction

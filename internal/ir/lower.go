@@ -2,109 +2,20 @@ package ir
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"thinslice/internal/lang/ast"
 	"thinslice/internal/lang/token"
 	"thinslice/internal/lang/types"
 )
 
-// Lower translates a checked program into SSA IR. Constructs that
-// escaped the type checker are lowered to safe placeholder values and
-// recorded in the program's Diags instead of panicking; callers should
-// reject programs with non-empty Diags.
-func Lower(info *types.Info) *Program { return LowerWorkers(info, 1) }
-
-// LowerWorkers is Lower with per-method lowering spread over up to
-// workers goroutines (workers < 1 selects GOMAXPROCS). Method bodies
-// are independent SSA units — register numbering is method-local and
-// diagnostics are collected per method — so the output is byte-
-// identical to the sequential build: methods keep declaration order,
-// diagnostics keep method order, and the dense program-unique
-// instruction IDs are assigned in one deterministic pass at the end.
-func LowerWorkers(info *types.Info, workers int) *Program {
-	jobs := collectJobs(info)
-	methods := make([]*Method, len(jobs))
-	diags := make([]Diagnostics, len(jobs))
-	lowerAll(info, jobs, methods, diags, workers)
-	return assembleProgram(info, jobs, methods, diags)
-}
-
-// lowerParallelMinStmts gates the worker pool: below this many
-// top-level statements across all methods, goroutine spawn and result
-// merging cost more than the lowering itself, so small programs always
-// take the sequential path and never pay pool overhead. A variable so
-// the equivalence tests can force the parallel path on small programs.
-var lowerParallelMinStmts = 4096
-
-// estimateLowerWork is a cheap pre-lowering work proxy: the number of
-// top-level statements in every method body (nested blocks uncounted —
-// the estimate only has to separate "tiny program" from "real one").
-func estimateLowerWork(jobs []*types.MethodInfo) int {
-	stmts := 0
-	for _, mi := range jobs {
-		if mi.Decl != nil && mi.Decl.Body != nil {
-			stmts += len(mi.Decl.Body.Stmts)
-		}
-	}
-	return stmts
-}
-
-// lowerAll lowers jobs[i] into methods[i]/diags[i], fanning out over a
-// bounded worker pool. A panic on a worker is re-raised on the calling
-// goroutine so the facade's recover boundary still converts it to a
-// typed internal error.
-func lowerAll(info *types.Info, jobs []*types.MethodInfo, methods []*Method, diags []Diagnostics, workers int) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers > 1 && estimateLowerWork(jobs) < lowerParallelMinStmts {
-		workers = 1
-	}
-	work := func(i int) { methods[i], diags[i] = lowerMethod(info, jobs[i]) }
-	if workers <= 1 {
-		for i := range jobs {
-			work(i)
-		}
-		return
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
+// Lower translates a checked program into SSA IR, one method at a time
+// in declaration order. Constructs that escaped the type checker are
+// lowered to safe placeholder values and recorded in the program's
+// Diags instead of panicking; callers should reject programs with
+// non-empty Diags.
+func Lower(info *types.Info) *Program {
+	prog, _, _ := LowerUnits(info, nil) // nothing to relink, so no error
+	return prog
 }
 
 // varKey identifies an SSA-converted variable: a declaration node, a
@@ -249,8 +160,8 @@ func collectParams(entry *Block) []*Param {
 
 // diag records a malformed construct and lets lowering continue with a
 // placeholder; the program is rejected afterwards via prog.Diags. Diags
-// are collected per method so concurrent method lowering stays
-// share-nothing, and merged in method order by LowerWorkers.
+// are collected per method and merged in method order when the program
+// is assembled.
 func (b *builder) diag(pos token.Pos, format string, args ...any) {
 	b.diags = append(b.diags, Diagnostic{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }

@@ -5,7 +5,7 @@ package sdg
 // result (methods × contexts, in MCtx ID order), so the payload stores
 // only what Build computes on top of that scaffolding: each node's
 // ordered dependence list and the per-context caller-node lists.
-// DecodeGraph rebuilds the scaffolding exactly as BuildWorkers does and
+// DecodeGraph lays out the scaffolding with the builder's own helper and
 // fills in the edges, so a decoded graph fingerprints identically to
 // the one Build produced.
 
@@ -55,38 +55,8 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 			g, err = nil, fmt.Errorf("sdg: decode: malformed payload: %v", rec)
 		}
 	}()
-	g = &Graph{
-		Prog:        prog,
-		Pts:         pts,
-		base:        make(map[*pointsto.MCtx]int32),
-		firstID:     make(map[*ir.Method]int),
-		callerNodes: make(map[*pointsto.MCtx][]Node),
-	}
-	// Scaffolding, exactly as BuildWorkers lays it out.
-	methodSize := make(map[*ir.Method]int, len(prog.Methods))
-	for _, m := range prog.Methods {
-		first, n := -1, 0
-		m.Instrs(func(ins ir.Instr) {
-			if first < 0 {
-				first = ins.ID()
-			}
-			n++
-		})
-		g.firstID[m] = first
-		methodSize[m] = n
-	}
-	g.mctxs = pts.MCtxs()
-	total := 0
-	for _, mc := range g.mctxs {
-		g.base[mc] = int32(total)
-		total += methodSize[mc.Method]
-	}
-	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
-	for _, mc := range g.mctxs {
-		for i := 0; i < methodSize[mc.Method]; i++ {
-			g.nodeCtx = append(g.nodeCtx, mc)
-		}
-	}
+	g, _ = newGraph(prog, pts)
+	total := len(g.nodeCtx)
 	r := artifact.NewReader(data)
 	if n := r.Uvarint(); r.Err() == nil && n != uint64(total) {
 		return nil, fmt.Errorf("sdg: decode: record has %d nodes, program yields %d", n, total)
@@ -98,6 +68,11 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 		}
 		return Node(v), nil
 	}
+	// Rows arrive in node order, so they go straight into the CSR arrays.
+	// Every dependence takes at least three payload bytes, which bounds
+	// the edge count by the input length.
+	off := make([]int32, total+1)
+	deps := make([]Dep, 0, len(data)/3)
 	for i := 0; i < total; i++ {
 		nDeps := r.Len()
 		if r.Err() != nil {
@@ -108,16 +83,17 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 			if err != nil {
 				return nil, firstErr(r.Err(), err)
 			}
-			kind := EdgeKind(r.Uvarint())
-			if kind > EdgeCallControl {
+			kind := r.Uvarint()
+			if kind > uint64(EdgeCallControl) {
 				return nil, firstErr(r.Err(), fmt.Errorf("sdg: decode: unknown edge kind %d", kind))
 			}
 			via, err := node()
 			if err != nil {
 				return nil, firstErr(r.Err(), err)
 			}
-			g.emit(Node(i), Dep{Src: src, Kind: kind, Via: via})
+			deps = append(deps, Dep{Src: src, Kind: EdgeKind(kind), Via: via})
 		}
+		off[i+1] = int32(len(deps))
 	}
 	for _, mc := range g.mctxs {
 		nCallers := r.Len()
@@ -135,7 +111,10 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	g.finalize()
+	if cap(deps) > len(deps) {
+		deps = append(make([]Dep, 0, len(deps)), deps...)
+	}
+	g.csrOff, g.csrDeps, g.numEdges = off, deps, len(deps)
 	return g, nil
 }
 

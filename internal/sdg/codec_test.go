@@ -15,6 +15,7 @@ import (
 	"thinslice/internal/analysis/cha"
 	"thinslice/internal/analysis/modref"
 	"thinslice/internal/analysis/pointsto"
+	"thinslice/internal/artifact"
 	"thinslice/internal/ir"
 	"thinslice/internal/lang/loader"
 	"thinslice/internal/lang/prelude"
@@ -186,4 +187,36 @@ func TestSDGDecodeRejectsCorruptPayloads(t *testing.T) {
 			sdg.DecodeGraph(mutated, prog, pts)
 		}()
 	}
+	// An edge kind past the last one must be rejected before it is
+	// narrowed: 2^32-1 would read as kind -1 and 2^32+2 as EdgeHeap.
+	for _, kind := range []uint64{uint64(sdg.EdgeCallControl) + 1, 1<<32 - 1, 1<<32 + uint64(sdg.EdgeHeap)} {
+		if _, err := sdg.DecodeGraph(withFirstEdgeKind(t, data, prog, pts, kind), prog, pts); err == nil {
+			t.Errorf("edge kind %d accepted", kind)
+		}
+	}
+}
+
+// withFirstEdgeKind returns data with the kind of its first dependence
+// replaced by kind.
+func withFirstEdgeKind(t *testing.T, data []byte, prog *ir.Program, pts *pointsto.Result, kind uint64) []byte {
+	t.Helper()
+	g, err := sdg.DecodeGraph(data, prog, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w artifact.Writer
+	w.Uvarint(uint64(g.NumNodes()))
+	for n := 0; n < g.NumNodes(); n++ {
+		deps := g.Deps(sdg.Node(n))
+		w.Uvarint(uint64(len(deps)))
+		if len(deps) > 0 {
+			w.Int64(int64(deps[0].Src))
+			at := len(w.Bytes()) // the kind's one-byte varint
+			var k artifact.Writer
+			k.Uvarint(kind)
+			return append(append(append([]byte(nil), data[:at]...), k.Bytes()...), data[at+1:]...)
+		}
+	}
+	t.Fatal("graph has no edges")
+	return nil
 }

@@ -1,29 +1,31 @@
 package sdg
 
-// Incremental construction (PR 9). A dependence graph is three layers:
-// a node scaffolding fixed by (program, points-to result), per-method
-// structure that depends only on a method's body (intraprocedural
-// def-use edges, control dependences, the positions of its heap
-// accesses and call sites), and global structure derived from the
-// points-to result (call linking, heap pairing, statics, array
-// lengths). BuildDelta caches the middle layer as base-relative
-// templates keyed by method qualified name: an edit re-derives
-// templates only for the changed methods, replays every context off
-// its template, and recomputes the points-to-derived layer from the
-// new (canonicalized) result.
+// Construction. A dependence graph is three layers: a node scaffolding
+// fixed by (program, points-to result), per-method structure that
+// depends only on a method's body (intraprocedural def-use edges,
+// control dependences, the positions of its heap accesses and call
+// sites), and global structure derived from the points-to result (call
+// linking, heap pairing, statics, array lengths). BuildDelta derives the
+// middle layer as base-relative method templates keyed by qualified
+// name, replays every context off its template, and computes the
+// points-to-derived layer from the result. A later build reuses the
+// templates of every method an edit left alone; a cold build is the same
+// call with no templates to reuse.
 //
-// Byte-identity with a cold Build holds because a node's in-edge order
-// is its emission order within a fixed phase sequence, and each in-edge
-// category of a node has exactly one emitter: local/base edges come
-// from the node's own instruction (template order = EachUse order),
-// param/return edges arrive in (caller context, call instruction,
-// canonical callee) order, heap edges in heap-index append order
-// (context, instruction), and control edges from the node's own
-// instruction's CDG rows. The replay walks contexts in the same
-// canonical order as scanCtx, so every per-node sequence — and
-// therefore Fingerprint and the codec payload — is preserved.
+// Every node's in-edge order is its emission order within a fixed phase
+// sequence, and each in-edge category of a node has exactly one
+// emitter: local/base edges come from the node's own instruction
+// (template order = EachUse order), param/return edges arrive in
+// (caller context, call instruction, canonical callee) order, heap
+// edges in heap-index append order (context, instruction), and control
+// edges from the node's own instruction's CDG rows. Contexts replay in
+// canonical order, so a delta build, a cold build and every step-capped
+// prefix of one agree node by node — and therefore in Fingerprint and
+// in the codec payload.
 
 import (
+	"time"
+
 	"thinslice/internal/analysis/cdg"
 	"thinslice/internal/analysis/pointsto"
 	"thinslice/internal/budget"
@@ -70,8 +72,11 @@ type DeltaStats struct {
 }
 
 // newMethodTemplate derives m's template: one body walk plus one CDG
-// construction, mirroring exactly what scanCtx and controlCtx emit per
-// context.
+// construction. Call instructions take no use edges: argument flow
+// reaches the callee's formal parameters via EdgeParam, and the call
+// node itself only receives EdgeReturn flow — following the SDG shape,
+// where a call result does not directly depend on the arguments in the
+// caller.
 func newMethodTemplate(m *ir.Method, first int) *methodTemplate {
 	t := &methodTemplate{}
 	cg := cdg.Build(m)
@@ -109,23 +114,25 @@ func newMethodTemplate(m *ir.Method, first int) *methodTemplate {
 	return t
 }
 
-// replayScan re-emits one context's scan phase off its method template:
-// use edges, call links, and heap-access collection, in the same
-// per-node order scanCtx produces.
-func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, em scanEmit) {
+// replayScan replays one context's scan phase off its method template:
+// use edges, then call links. With h set (the count pass) it also
+// records the context's heap accesses and the caller lists; the fill
+// pass replays the edges alone.
+func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep), h *heapIndex) {
 	base := int(g.base[mc])
 	first := g.firstID[mc.Method]
 	for _, e := range t.uses {
-		em.dep(Node(base+int(e.to)), Dep{Src: Node(base + int(e.src)), Kind: e.kind, Via: NoNode})
+		add(Node(base+int(e.to)), Dep{Src: Node(base + int(e.src)), Kind: e.kind, Via: NoNode})
 	}
 	for _, local := range t.calls {
 		call := g.Prog.InstrByID(first + int(local)).(*ir.Call)
-		g.linkCall(mc, Node(base+int(local)), call, em)
+		g.linkCall(mc, base-first, Node(base+int(local)), call, add, h != nil)
 	}
-	h := em.heap
 	if h == nil {
 		return
 	}
+	// Points-to IDs arrive sorted straight off the solver's bitsets;
+	// the pairing phase's intersection tests rely on that order.
 	objIDs := func(r *ir.Reg) []int {
 		return g.Pts.PointsToIDsIn(nil, r, mc)
 	}
@@ -133,11 +140,11 @@ func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, em scanEmit) {
 		node := Node(base + int(local))
 		switch ins := g.Prog.InstrByID(first + int(local)).(type) {
 		case *ir.SetField:
-			h.fieldStores[ins.Field.QualifiedName()] = append(
-				h.fieldStores[ins.Field.QualifiedName()], newHeapAccess(node, objIDs(ins.Obj)))
+			q := ins.Field.QualifiedName()
+			h.fieldStores[q] = append(h.fieldStores[q], newHeapAccess(node, objIDs(ins.Obj)))
 		case *ir.GetField:
-			h.fieldLoads[ins.Field.QualifiedName()] = append(
-				h.fieldLoads[ins.Field.QualifiedName()], newHeapAccess(node, objIDs(ins.Obj)))
+			q := ins.Field.QualifiedName()
+			h.fieldLoads[q] = append(h.fieldLoads[q], newHeapAccess(node, objIDs(ins.Obj)))
 		case *ir.ArrayStore:
 			h.elemStores = append(h.elemStores, newHeapAccess(node, objIDs(ins.Arr)))
 		case *ir.ArrayLoad:
@@ -145,17 +152,18 @@ func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, em scanEmit) {
 		case *ir.ArrayLen:
 			h.lenReads = append(h.lenReads, heapAccess{node: node, objs: objIDs(ins.Arr)})
 		case *ir.SetStatic:
-			h.staticStores[ins.Field.QualifiedName()] = append(h.staticStores[ins.Field.QualifiedName()], node)
+			q := ins.Field.QualifiedName()
+			h.staticStores[q] = append(h.staticStores[q], node)
 		case *ir.GetStatic:
-			h.staticLoads[ins.Field.QualifiedName()] = append(h.staticLoads[ins.Field.QualifiedName()], node)
+			q := ins.Field.QualifiedName()
+			h.staticLoads[q] = append(h.staticLoads[q], node)
 		}
 	}
 }
 
-// replayCtrl re-emits one context's control dependences off the
+// replayCtrl replays one context's control dependences off the
 // template. Per node, its EdgeControl rows precede its EdgeCallControl
-// rows exactly as controlCtx interleaves them (both come from the
-// node's own instruction, and phases are stable-sorted).
+// rows (both come from the node's own instruction).
 func (g *Graph) replayCtrl(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep)) {
 	base := int(g.base[mc])
 	for _, e := range t.ctrl {
@@ -172,64 +180,35 @@ func (g *Graph) replayCtrl(mc *pointsto.MCtx, t *methodTemplate, add func(to Nod
 
 // BuildDelta constructs the dependence graph over prog/pts, reusing
 // prev's per-method templates for every method whose qualified name is
-// not in changed. A nil prev (or empty template set) degrades to a full
-// sequential build that additionally returns a complete BuildState —
-// the cold path of an incremental session. The result is byte-identical
-// (Fingerprint, EncodeGraph payload) to Build(prog, pts).
+// not in changed. With a nil prev it derives every template: the cold
+// build. Either way it returns the templates the next edit can reuse.
 //
 // changed must contain the qualified name of every method whose body
 // differs from the build prev describes — the depgraph frontier plus
-// removed/added units. A template whose recorded instruction count
-// disagrees with the new body is rebuilt regardless, as a stale-input
-// guard. BuildDelta is unmetered: incremental rebuilds back a live
-// session, where truncation would poison every later delta.
-func BuildDelta(prog *ir.Program, pts *pointsto.Result, prev *BuildState, changed []string) (*Graph, *BuildState, DeltaStats) {
-	var b *budget.Budget
-	g := &Graph{
-		Prog:        prog,
-		Pts:         pts,
-		bud:         b,
-		meter:       b.Phase(budget.PhaseSDG),
-		base:        make(map[*pointsto.MCtx]int32),
-		firstID:     make(map[*ir.Method]int),
-		callerNodes: make(map[*pointsto.MCtx][]Node),
-	}
-	g.returns = make(map[*ir.Method][]*ir.Return, len(prog.Methods))
-	methodSize := make(map[*ir.Method]int, len(prog.Methods))
-	for _, m := range prog.Methods {
-		first, n := -1, 0
-		var rets []*ir.Return
-		m.Instrs(func(ins ir.Instr) {
-			if first < 0 {
-				first = ins.ID()
-			}
-			n++
-			if ret, ok := ins.(*ir.Return); ok {
-				rets = append(rets, ret)
-			}
-		})
-		g.firstID[m] = first
-		g.returns[m] = rets
-		methodSize[m] = n
-	}
-	g.mctxs = pts.MCtxs()
-	total := 0
-	for _, mc := range g.mctxs {
-		g.base[mc] = int32(total)
-		total += methodSize[mc.Method]
-	}
-	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
-	for _, mc := range g.mctxs {
-		for i := 0; i < methodSize[mc.Method]; i++ {
-			g.nodeCtx = append(g.nodeCtx, mc)
-		}
-	}
-
+// added units. A template whose recorded instruction count disagrees
+// with the new body is rebuilt regardless, as a stale-input guard.
+//
+// b meters the build (PhaseSDG: one step per instruction replayed, per
+// heap load paired and, under a step cap, per edge). A canceled context
+// or passed deadline aborts with *budget.ErrCanceled. An exhausted step
+// cap returns the partial graph flagged Truncated with a nil error:
+// every node is present, and every node's in-edges are a prefix of its
+// complete list. The cap cuts the same emission sequence on every run,
+// so truncation is deterministic.
+//
+// Construction makes two passes over one emission sequence. The count
+// pass derives templates, records caller lists and heap accesses, and
+// counts each node's in-edges; the fill pass replays the sequence and
+// writes each edge straight into its final CSR slot, keeping per node
+// exactly the counted prefix.
+func BuildDelta(prog *ir.Program, pts *pointsto.Result, prev *BuildState, changed []string, b *budget.Budget) (*Graph, *BuildState, DeltaStats, error) {
+	g, size := newGraph(prog, pts)
+	g.meter = b.Phase(budget.PhaseSDG)
 	changedSet := make(map[string]bool, len(changed))
 	for _, q := range changed {
 		changedSet[q] = true
 	}
-	var stats DeltaStats
+	stats := DeltaStats{Ctxs: len(g.mctxs)}
 	st := &BuildState{templates: make(map[string]*methodTemplate)}
 	tmplOf := make(map[*ir.Method]*methodTemplate, len(prog.Methods))
 	template := func(m *ir.Method) *methodTemplate {
@@ -241,7 +220,7 @@ func BuildDelta(prog *ir.Program, pts *pointsto.Result, prev *BuildState, change
 		if prev != nil && !changedSet[q] {
 			t = prev.templates[q]
 		}
-		if t != nil && t.size == methodSize[m] {
+		if t != nil && t.size == size[m] {
 			stats.TemplatesReused++
 		} else {
 			t = newMethodTemplate(m, g.firstID[m])
@@ -252,30 +231,70 @@ func BuildDelta(prog *ir.Program, pts *pointsto.Result, prev *BuildState, change
 		return t
 	}
 
-	// Scan phase: replay every context in canonical order. Workers are
-	// unnecessary here — the expensive per-method derivation is exactly
-	// what the templates skip.
+	// Count pass: scan every context, then heap pairing, then control.
+	// Edges spend steps only under a step cap; without one, the
+	// per-context and per-load ticks poll for cancellation.
+	n := len(g.nodeCtx)
+	off := make([]int32, n+1)
+	count := func(to Node, _ Dep) { off[to+1]++ }
+	if b.Limited(budget.PhaseSDG) {
+		count = func(to Node, _ Dep) {
+			if g.tick() {
+				off[to+1]++
+			}
+		}
+	}
+	tmpls := make([]*methodTemplate, len(g.mctxs))
 	h := newHeapIndex()
-	em := scanEmit{
-		tick: g.tick,
-		dep:  g.addDep,
-		caller: func(callee *pointsto.MCtx, n Node) {
-			g.callerNodes[callee] = append(g.callerNodes[callee], n)
-		},
-		heap: h,
+	for i, mc := range g.mctxs {
+		if !g.tickN(size[mc.Method]) {
+			break
+		}
+		tmpls[i] = template(mc.Method)
+		g.replayScan(mc, tmpls[i], count, h)
 	}
-	for _, mc := range g.mctxs {
-		g.replayScan(mc, template(mc.Method), em)
+	g.emitHeap(h, g.tick, count)
+	for i, mc := range g.mctxs {
+		if g.stop != nil {
+			break
+		}
+		g.replayCtrl(mc, tmpls[i], count)
 	}
-	stats.Ctxs = len(g.mctxs)
+	if g.stop != nil {
+		if budget.IsCanceled(g.stop) {
+			return nil, nil, stats, g.stop
+		}
+		g.Truncated, g.LimitErr = true, g.stop
+	}
 
-	// Points-to-derived phase: heap pairing, array lengths, statics.
-	g.emitHeap(h, g.tick, g.addDep)
-
-	// Control phase, off the cached CDG rows.
-	for _, mc := range g.mctxs {
-		g.replayCtrl(mc, tmplOf[mc.Method], g.addDep)
+	// Fill pass: the same sequence over the recorded heap index and
+	// caller lists. Contexts the count pass never reached have no
+	// template and counted no edges.
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
-	g.finalize()
-	return g, st, stats
+	deps := make([]Dep, off[n])
+	cur := make([]int32, n)
+	copy(cur, off[:n])
+	g.csrBuild = time.Since(start)
+	place := func(to Node, d Dep) {
+		if cur[to] < off[to+1] {
+			deps[cur[to]] = d
+			cur[to]++
+		}
+	}
+	for i, mc := range g.mctxs {
+		if tmpls[i] != nil {
+			g.replayScan(mc, tmpls[i], place, nil)
+		}
+	}
+	g.emitHeap(h, nil, place)
+	for i, mc := range g.mctxs {
+		if tmpls[i] != nil {
+			g.replayCtrl(mc, tmpls[i], place)
+		}
+	}
+	g.csrOff, g.csrDeps, g.numEdges = off, deps, len(deps)
+	return g, st, stats, nil
 }

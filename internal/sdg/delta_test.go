@@ -97,14 +97,14 @@ func sdgDeltaPipeline(t *testing.T, oldSrcs, newSrcs map[string]string, objSens 
 	if err != nil {
 		t.Fatalf("cold solve (old): %v", err)
 	}
-	oldGraph, state, _ := sdg.BuildDelta(oldProg, oldPts, nil, nil)
+	oldGraph, state, _, _ := sdg.BuildDelta(oldProg, oldPts, nil, nil, nil)
 	assertGraphsIdentical(t, "cold-path", oldGraph, sdg.Build(oldProg, oldPts))
 
 	newPts, _, err := pointsto.SolveDelta(oldPts, newProg, pm, removed, added, cfg)
 	if err != nil {
 		t.Fatalf("SolveDelta: %v", err)
 	}
-	deltaGraph, _, stats := sdg.BuildDelta(newProg, newPts, state, changed)
+	deltaGraph, _, stats, _ := sdg.BuildDelta(newProg, newPts, state, changed, nil)
 
 	coldPts, err := pointsto.Analyze(newProg, cfg)
 	if err != nil {
@@ -180,11 +180,11 @@ func TestBuildDeltaIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, state, first := sdg.BuildDelta(prog, pts, nil, nil)
+	cold, state, first, _ := sdg.BuildDelta(prog, pts, nil, nil, nil)
 	if first.TemplatesReused != 0 || first.TemplatesBuilt == 0 {
 		t.Fatalf("cold build stats %+v", first)
 	}
-	again, _, stats := sdg.BuildDelta(prog, pts, state, nil)
+	again, _, stats, _ := sdg.BuildDelta(prog, pts, state, nil, nil)
 	assertGraphsIdentical(t, "identity", again, cold)
 	if stats.TemplatesBuilt != 0 {
 		t.Errorf("identity rebuild derived %d templates, want 0 (stats %+v)", stats.TemplatesBuilt, stats)
@@ -210,9 +210,9 @@ func TestBuildDeltaStaleTemplateGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, state, _ := sdg.BuildDelta(oldProg, oldPts, nil, nil)
+	_, state, _, _ := sdg.BuildDelta(oldProg, oldPts, nil, nil, nil)
 	// Deliberately empty changed list: Box.get grew by one instruction,
 	// so its stale template must be caught by the size guard.
-	delta, _, _ := sdg.BuildDelta(newProg, newPts, state, nil)
+	delta, _, _, _ := sdg.BuildDelta(newProg, newPts, state, nil, nil)
 	assertGraphsIdentical(t, "stale-guard", delta, sdg.Build(newProg, newPts))
 }

@@ -1,14 +1,5 @@
 package sdg
 
-// ForceParallelForTest lowers the sequential-fallback work threshold
-// to zero so equivalence tests exercise the parallel path on programs
-// far below the production cutoff. Returns a restore func.
-func ForceParallelForTest() (restore func()) {
-	old := parallelMinNodes
-	parallelMinNodes = 0
-	return func() { parallelMinNodes = old }
-}
-
 // CorruptForTest applies one named structural corruption to a
 // finalized graph, for the VerifyGraph oracle test. Returns false for
 // an unknown name or a graph too small to corrupt that way.
@@ -42,13 +33,4 @@ func CorruptForTest(g *Graph, name string) bool {
 		return true
 	}
 	return false
-}
-
-// PartitionCtxsForTest exposes the size-aware context partitioner.
-func PartitionCtxsForTest(ctxSize []int, workers int) [][2]int {
-	var out [][2]int
-	for _, r := range partitionCtxs(ctxSize, workers) {
-		out = append(out, [2]int{r.lo, r.hi})
-	}
-	return out
 }

@@ -17,13 +17,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"thinslice/internal/analysis/cdg"
 	"thinslice/internal/analysis/pointsto"
 	"thinslice/internal/budget"
 	"thinslice/internal/ir"
@@ -109,14 +106,6 @@ type Dep struct {
 	Via  Node
 }
 
-// edgeRec is one buffered edge addition: node to depends via d. The
-// construction phases emit these into flat pointer-free buffers;
-// finalize distributes them into the CSR layout.
-type edgeRec struct {
-	to Node
-	d  Dep
-}
-
 // Graph is the dependence graph, stored as in-edges per node.
 type Graph struct {
 	Prog *ir.Program
@@ -129,23 +118,12 @@ type Graph struct {
 	Truncated bool
 	LimitErr  error
 
-	bud   *budget.Budget
 	meter *budget.Meter
 	stop  error
-	// Edge records accumulate during construction in an ordered chain
-	// of fixed-size chunks (edgeFull + the active edgeCur) — no
-	// per-node slices and no doubling-growth copies, so emitting E
-	// edges allocates exactly ceil(E/chunk) pointer-free blocks;
-	// finalize stable-sorts the chain by target node into the CSR
-	// arrays below. A node's in-edge order is its emission order,
-	// which the counting sort preserves. The parallel build adopts its
-	// per-bucket/per-task buffers directly as chunks, zero-copy.
-	edgeFull [][]edgeRec
-	edgeCur  []edgeRec
-	// CSR (compressed sparse row) in-edge layout, built once after
-	// construction: node n's dependences are csrDeps[csrOff[n]:csrOff[n+1]].
-	// A flat layout keeps the backward closure's inner loop on one
-	// contiguous array instead of chasing per-node slice headers.
+	// CSR (compressed sparse row) in-edge layout: node n's dependences
+	// are csrDeps[csrOff[n]:csrOff[n+1]]. A flat layout keeps the
+	// backward closure's inner loop on one contiguous array instead of
+	// chasing per-node slice headers.
 	csrOff   []int32
 	csrDeps  []Dep
 	csrBuild time.Duration
@@ -178,59 +156,52 @@ func (g *Graph) Deps(n Node) []Dep { return g.csrDeps[g.csrOff[n]:g.csrOff[n+1]]
 // into the CSR layout took (the bench harness's csr_build_us column).
 func (g *Graph) CSRBuildDuration() time.Duration { return g.csrBuild }
 
-// edgeChunkSize is the edgeRec capacity of one emission chunk (~768KB).
-const edgeChunkSize = 1 << 15
-
-// emit appends one edge record to the chunk chain.
-func (g *Graph) emit(to Node, d Dep) {
-	if len(g.edgeCur) == cap(g.edgeCur) {
-		if g.edgeCur != nil {
-			g.edgeFull = append(g.edgeFull, g.edgeCur)
-		}
-		g.edgeCur = make([]edgeRec, 0, edgeChunkSize)
+// newGraph lays out the node numbering that prog and pts determine:
+// contexts in MCtx ID order, each owning one node per instruction of
+// its method, numbered in instruction order from the context's base.
+// The builder and DecodeGraph share it, so a decoded graph numbers its
+// nodes exactly as the build that encoded it. size maps each method to
+// its instruction count.
+func newGraph(prog *ir.Program, pts *pointsto.Result) (g *Graph, size map[*ir.Method]int) {
+	g = &Graph{
+		Prog:        prog,
+		Pts:         pts,
+		base:        make(map[*pointsto.MCtx]int32),
+		firstID:     make(map[*ir.Method]int, len(prog.Methods)),
+		callerNodes: make(map[*pointsto.MCtx][]Node),
+		returns:     make(map[*ir.Method][]*ir.Return, len(prog.Methods)),
 	}
-	g.edgeCur = append(g.edgeCur, edgeRec{to, d})
-}
-
-// finalize distributes the chunked edge records into the CSR layout
-// with a stable counting sort by target node and releases the chunks.
-// A node's in-edges come from exactly one emitter per construction
-// phase and phases run in a fixed order, so emission order per node
-// equals the sequential addDep order — and the stable sort preserves
-// it, which keeps Fingerprint and the codec byte stream identical to
-// the old slice-of-slices representation.
-func (g *Graph) finalize() {
-	start := time.Now()
-	if len(g.edgeCur) > 0 {
-		g.edgeFull = append(g.edgeFull, g.edgeCur)
+	// One walk per method collects everything the layout and linkCall
+	// need; contexts then reuse the per-method numbers instead of
+	// re-walking bodies once per clone.
+	size = make(map[*ir.Method]int, len(prog.Methods))
+	for _, m := range prog.Methods {
+		first, n := -1, 0
+		var rets []*ir.Return
+		m.Instrs(func(ins ir.Instr) {
+			if first < 0 {
+				first = ins.ID()
+			}
+			n++
+			if ret, ok := ins.(*ir.Return); ok {
+				rets = append(rets, ret)
+			}
+		})
+		g.firstID[m], g.returns[m], size[m] = first, rets, n
 	}
-	g.edgeCur = nil
-	n := len(g.nodeCtx)
+	g.mctxs = pts.MCtxs()
 	total := 0
-	off := make([]int32, n+1)
-	for _, c := range g.edgeFull {
-		total += len(c)
-		for i := range c {
-			off[c[i].to+1]++
+	for _, mc := range g.mctxs {
+		g.base[mc] = int32(total)
+		total += size[mc.Method]
+	}
+	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
+	for _, mc := range g.mctxs {
+		for range size[mc.Method] {
+			g.nodeCtx = append(g.nodeCtx, mc)
 		}
 	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	deps := make([]Dep, total)
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for _, c := range g.edgeFull {
-		for i := range c {
-			e := &c[i]
-			deps[cur[e.to]] = e.d
-			cur[e.to]++
-		}
-	}
-	g.csrOff, g.csrDeps = off, deps
-	g.numEdges = total
-	g.edgeFull = nil
-	g.csrBuild = time.Since(start)
+	return g, size
 }
 
 // CtxOf returns the call-graph context of n.
@@ -269,9 +240,9 @@ func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.callerNodes[mc]
 
 // Fingerprint returns a sha256 digest of the graph's full structure —
 // every node's ordered dependence list, the per-context caller-node
-// lists, and the edge count. Two builds of the same program (sequential
-// or parallel, any worker count) must produce identical fingerprints;
-// the equivalence tests pin exactly that.
+// lists, and the edge count. Two builds of the same program (cold,
+// delta or decoded) must produce identical fingerprints; the
+// equivalence tests pin exactly that.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	buf := make([]byte, 8)
@@ -339,9 +310,8 @@ func (a *heapAccess) aliases(b *heapAccess) bool {
 
 // heapIndex collects the heap accesses discovered during the scan
 // phase, keyed so the pairing phase can match stores to may-aliased
-// loads. Accesses are appended in deterministic (context, instruction)
-// order; the pairing phase relies on that order for reproducible edge
-// lists.
+// loads. Accesses are appended in (context, instruction) order; the
+// pairing phase relies on that order for reproducible edge lists.
 type heapIndex struct {
 	fieldStores  map[string][]heapAccess
 	fieldLoads   map[string][]heapAccess
@@ -361,45 +331,6 @@ func newHeapIndex() *heapIndex {
 	}
 }
 
-// merge appends o's accesses after h's. Called in context order by the
-// parallel build, this reproduces the sequential append order exactly.
-func (h *heapIndex) merge(o *heapIndex) {
-	for k, v := range o.fieldStores {
-		h.fieldStores[k] = append(h.fieldStores[k], v...)
-	}
-	for k, v := range o.fieldLoads {
-		h.fieldLoads[k] = append(h.fieldLoads[k], v...)
-	}
-	h.elemStores = append(h.elemStores, o.elemStores...)
-	h.elemLoads = append(h.elemLoads, o.elemLoads...)
-	h.lenReads = append(h.lenReads, o.lenReads...)
-	for k, v := range o.staticStores {
-		h.staticStores[k] = append(h.staticStores[k], v...)
-	}
-	for k, v := range o.staticLoads {
-		h.staticLoads[k] = append(h.staticLoads[k], v...)
-	}
-}
-
-// scanEmit sinks one context's scan-phase discoveries. The sequential
-// build writes straight into the graph (ticking the shared budget per
-// edge); the parallel build records into per-context buffers that are
-// merged in context order afterwards. The two-pass build's fill pass
-// leaves caller and heap nil: dependence edges are re-emitted but the
-// heap index and caller lists from the first pass are kept.
-type scanEmit struct {
-	// tick is called once per instruction; returning false stops the
-	// scan of the remaining instructions.
-	tick func() bool
-	// dep adds one dependence edge.
-	dep func(to Node, d Dep)
-	// caller records a call-site node that may invoke callee (nil to
-	// skip recording).
-	caller func(callee *pointsto.MCtx, n Node)
-	// heap collects heap accesses for the pairing phase (nil to skip).
-	heap *heapIndex
-}
-
 // Build constructs the dependence graph over the contexts reachable in
 // pts, unbounded.
 func Build(prog *ir.Program, pts *pointsto.Result) *Graph {
@@ -411,233 +342,38 @@ func Build(prog *ir.Program, pts *pointsto.Result) *Graph {
 	return g
 }
 
-// BuildBudget constructs the dependence graph under a budget
-// (PhaseSDG, one step per instruction scanned or edge added). A
-// canceled context or passed deadline aborts with *budget.ErrCanceled;
-// an exhausted step cap returns the partial graph flagged Truncated
-// with a nil error — all nodes present, some edges missing.
+// BuildBudget constructs the dependence graph under a budget: BuildDelta
+// with no retained state.
 func BuildBudget(prog *ir.Program, pts *pointsto.Result, b *budget.Budget) (*Graph, error) {
-	return BuildWorkers(prog, pts, b, 1)
-}
-
-// BuildWorkers is BuildBudget with construction spread over up to
-// workers goroutines (workers < 1 selects GOMAXPROCS). The three
-// construction phases parallelize independently — per-context scans
-// are buffered and merged in context order, heap pairing fans out over
-// node-disjoint access groups, and control dependences fan out per
-// context — so a completed parallel build is byte-identical to the
-// sequential one. A step-capped budget forces workers = 1: truncation
-// must stop at the same deterministic point the sequential build
-// stops at, which requires the sequential tick interleaving. Workers
-// draw per-goroutine meters from the budget, so cancellation and
-// deadlines are still honored promptly on the parallel path.
-// parallelMinNodes gates the worker pool: below this many statement
-// instances the scan buffers, merge pass, and goroutine handoff cost
-// more than the construction itself, so small programs always build
-// sequentially and never pay pool overhead. A variable so the
-// equivalence tests can force the parallel path on small programs.
-var parallelMinNodes = 24576
-
-func BuildWorkers(prog *ir.Program, pts *pointsto.Result, b *budget.Budget, workers int) (*Graph, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && b.Limited(budget.PhaseSDG) {
-		workers = 1
-	}
-	g := &Graph{
-		Prog:        prog,
-		Pts:         pts,
-		bud:         b,
-		meter:       b.Phase(budget.PhaseSDG),
-		base:        make(map[*pointsto.MCtx]int32),
-		firstID:     make(map[*ir.Method]int),
-		callerNodes: make(map[*pointsto.MCtx][]Node),
-	}
-	// One walk per method collects everything the layout and linkCall
-	// need (first instruction ID, instruction count, Return list) —
-	// contexts then reuse the per-method numbers instead of re-walking
-	// bodies once per clone.
-	g.returns = make(map[*ir.Method][]*ir.Return, len(prog.Methods))
-	methodSize := make(map[*ir.Method]int, len(prog.Methods))
-	for _, m := range prog.Methods {
-		first, n := -1, 0
-		var rets []*ir.Return
-		m.Instrs(func(ins ir.Instr) {
-			if first < 0 {
-				first = ins.ID()
-			}
-			n++
-			if ret, ok := ins.(*ir.Return); ok {
-				rets = append(rets, ret)
-			}
-		})
-		g.firstID[m] = first
-		g.returns[m] = rets
-		methodSize[m] = n
-	}
-	g.mctxs = pts.MCtxs()
-	total := 0
-	ctxSize := make([]int, len(g.mctxs))
-	for i, mc := range g.mctxs {
-		g.base[mc] = int32(total)
-		ctxSize[i] = methodSize[mc.Method]
-		total += ctxSize[i]
-	}
-	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
-	for i, mc := range g.mctxs {
-		for j := 0; j < ctxSize[i]; j++ {
-			g.nodeCtx = append(g.nodeCtx, mc)
-		}
-	}
-	if workers > 1 && total < parallelMinNodes {
-		workers = 1
-	}
-	if workers <= 1 {
-		return g.buildSequential()
-	}
-	return g.buildParallel(workers, ctxSize)
-}
-
-// ctxRange is one contiguous run of contexts, g.mctxs[lo:hi), assigned
-// to a single scan buffer by the size-aware partitioner.
-type ctxRange struct{ lo, hi int }
-
-// partitionCtxs splits the context list into contiguous buckets of
-// roughly equal instruction count (about 4 buckets per worker so the
-// pool can rebalance around stragglers). Contiguity keeps the merge
-// pass a simple in-order walk that replays the sequential edge order.
-func partitionCtxs(ctxSize []int, workers int) []ctxRange {
-	total := 0
-	for _, n := range ctxSize {
-		total += n
-	}
-	target := total/(workers*4) + 1
-	var out []ctxRange
-	lo, acc := 0, 0
-	for i, n := range ctxSize {
-		acc += n
-		if acc >= target {
-			out = append(out, ctxRange{lo, i + 1})
-			lo, acc = i+1, 0
-		}
-	}
-	if lo < len(ctxSize) {
-		out = append(out, ctxRange{lo, len(ctxSize)})
-	}
-	return out
-}
-
-// scanCtx performs the per-context scan phase: intraprocedural def-use
-// edges, heap-access collection, and call linking.
-func (g *Graph) scanCtx(mc *pointsto.MCtx, em scanEmit) {
-	// Points-to IDs arrive sorted straight off the solver's bitsets;
-	// the pairing phase's intersection tests rely on that order.
-	objIDs := func(r *ir.Reg) []int {
-		return g.Pts.PointsToIDsIn(nil, r, mc)
-	}
-	// All same-context node numbers share one base offset; hoisting it
-	// replaces two map lookups per instruction (and per use) with
-	// arithmetic on the instruction ID.
-	delta := int(g.base[mc]) - g.firstID[mc.Method]
-	// One closure, hoisted out of the walk, visits every operand
-	// allocation-free (node is rebound per instruction).
-	var node Node
-	emitUse := func(u *ir.Reg, role ir.Role) {
-		if u.Def == nil {
-			return
-		}
-		kind := EdgeLocal
-		if role == ir.RoleBase {
-			kind = EdgeBase
-		}
-		em.dep(node, Dep{Src: Node(delta + u.Def.ID()), Kind: kind, Via: NoNode})
-	}
-	mc.Method.Instrs(func(ins ir.Instr) {
-		if !em.tick() {
-			return
-		}
-		node = Node(delta + ins.ID())
-		// Local/base def-use edges from operand definitions. Call
-		// operands are excluded: argument flow reaches the callee's
-		// formal parameters via EdgeParam, and the call node itself
-		// only receives EdgeReturn flow — following the SDG shape,
-		// where a call result does not directly depend on the
-		// arguments in the caller.
-		if _, isCall := ins.(*ir.Call); !isCall {
-			ins.EachUse(emitUse)
-		}
-		if call, ok := ins.(*ir.Call); ok {
-			g.linkCall(mc, node, call, em)
-		} else if h := em.heap; h != nil {
-			switch ins := ins.(type) {
-			case *ir.SetField:
-				h.fieldStores[ins.Field.QualifiedName()] = append(
-					h.fieldStores[ins.Field.QualifiedName()], newHeapAccess(node, objIDs(ins.Obj)))
-			case *ir.GetField:
-				h.fieldLoads[ins.Field.QualifiedName()] = append(
-					h.fieldLoads[ins.Field.QualifiedName()], newHeapAccess(node, objIDs(ins.Obj)))
-			case *ir.ArrayStore:
-				h.elemStores = append(h.elemStores, newHeapAccess(node, objIDs(ins.Arr)))
-			case *ir.ArrayLoad:
-				h.elemLoads = append(h.elemLoads, newHeapAccess(node, objIDs(ins.Arr)))
-			case *ir.ArrayLen:
-				h.lenReads = append(h.lenReads, heapAccess{node: node, objs: objIDs(ins.Arr)})
-			case *ir.SetStatic:
-				h.staticStores[ins.Field.QualifiedName()] = append(h.staticStores[ins.Field.QualifiedName()], node)
-			case *ir.GetStatic:
-				h.staticLoads[ins.Field.QualifiedName()] = append(h.staticLoads[ins.Field.QualifiedName()], node)
-			}
-		}
-	})
+	g, _, _, err := BuildDelta(prog, pts, nil, nil, b)
+	return g, err
 }
 
 // lenDeps returns the heap edges of one array-length read: the
 // allocation sites of its may-pointees, across every context instance
 // of the allocation (the object's heap context names the allocating
-// container context only indirectly).
+// container context only indirectly). Objects of one site share its
+// nodes and distinct sites have disjoint ones, so each site is emitted
+// once, at its first object.
 func (g *Graph) lenDeps(lr heapAccess, add func(to Node, d Dep)) {
-	seen := make(map[Node]bool)
+	var seen []ir.Instr
 	for _, id := range lr.objs {
 		o := g.Pts.Objects()[id]
-		if !o.IsArray() {
+		if !o.IsArray() || slices.Contains(seen, o.Site) {
 			continue
 		}
-		for _, src := range g.NodesOf(o.Site) {
-			if !seen[src] {
-				seen[src] = true
-				add(lr.node, Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
-			}
+		seen = append(seen, o.Site)
+		for _, mc := range g.Pts.MCtxsOf(o.Site.Block().Method) {
+			add(lr.node, Dep{Src: g.NodeOf(mc, o.Site), Kind: EdgeHeap, Via: NoNode})
 		}
 	}
-}
-
-// controlCtx adds one context's control dependence edges using the
-// method's (shared, immutable) intraprocedural CDG.
-func (g *Graph) controlCtx(mc *pointsto.MCtx, cg *cdg.Graph, add func(to Node, d Dep)) {
-	callers := g.callerNodes[mc]
-	delta := int(g.base[mc]) - g.firstID[mc.Method]
-	mc.Method.Instrs(func(ins ir.Instr) {
-		node := Node(delta + ins.ID())
-		for _, br := range cg.InstrDeps(ins) {
-			if br != ins {
-				add(node, Dep{Src: Node(delta + br.ID()), Kind: EdgeControl, Via: NoNode})
-			}
-		}
-		if cg.DependsOnEntry(ins) {
-			for _, caller := range callers {
-				add(node, Dep{Src: caller, Kind: EdgeCallControl, Via: NoNode})
-			}
-		}
-	})
 }
 
 // maskKey identifies a single-word points-to mask; loads with equal
 // masks match exactly the same stores, so per-field pairing caches the
 // match list once per distinct mask instead of re-testing every
-// (load, store) pair — and the two-pass build would otherwise pay the
-// full quadratic sweep twice. Multi-word masks (rare: they need object
-// IDs spread over >64 contiguous IDs) fall back to direct pairing.
+// (load, store) pair. Multi-word masks (rare: they need object IDs
+// spread over >64 contiguous IDs) fall back to direct pairing.
 type maskKey struct {
 	lo int32
 	w  uint64
@@ -670,48 +406,21 @@ func matchStores(ld *heapAccess, stores []heapAccess, cache map[maskKey][]Node) 
 	return m
 }
 
-// emitHeapAndControl runs the pairing, array-length, static, and
-// control phases over an already-built heap index, sending every edge
-// to add. tick, when non-nil, is checked once per candidate heap load
-// (the pairing phase is the graph's quadratic hot spot); the fill pass
-// of the two-pass build passes nil and re-emits unconditionally.
-func (g *Graph) emitHeapAndControl(h *heapIndex, cdgCache map[*ir.Method]*cdg.Graph, tick func() bool, add func(to Node, d Dep)) {
-	g.emitHeap(h, tick, add)
-	if g.stop != nil {
-		return
-	}
-	// Control dependence edges (intraprocedural graphs are shared
-	// across contexts; edges are added per context instance).
-	for _, mc := range g.mctxs {
-		if g.stop != nil {
-			return
-		}
-		cg := cdgCache[mc.Method]
-		if cg == nil {
-			cg = cdg.Build(mc.Method)
-			cdgCache[mc.Method] = cg
-		}
-		g.controlCtx(mc, cg, add)
-	}
-}
-
-// emitHeap runs the points-to-derived phases — heap pairing, array
-// lengths, statics — over an already-built heap index. BuildDelta
-// shares it: these edges are re-derived from the new points-to result
-// on every incremental rebuild.
+// emitHeap runs the points-to-derived phases over a heap index: heap
+// pairing, array lengths and statics, sending every edge to add. Field
+// names are visited in sorted order, so the sequence of loads, and with
+// it the point where a step cap stops the phase, is the same on every
+// run. tick, when non-nil, is spent once per load before its edges; a
+// false return ends the phase.
 func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep)) {
+	spend := func() bool { return tick == nil || tick() }
 	// Heap edges: store→load when the base points-to sets (in the
-	// respective contexts) intersect. Map iteration order varies run to
-	// run, but each load node lives under exactly one field name, so
-	// every node's in-edge sequence is still deterministic.
-	for fname, loads := range h.fieldLoads { //determinism:ok — single emitter per load node (see above)
-		if g.stop != nil {
-			return
-		}
-		stores := h.fieldStores[fname]
+	// respective contexts) intersect.
+	for _, fname := range sortedKeys(h.fieldLoads) {
+		loads, stores := h.fieldLoads[fname], h.fieldStores[fname]
 		cache := make(map[maskKey][]Node)
 		for i := range loads {
-			if tick != nil && !tick() {
+			if !spend() {
 				return
 			}
 			for _, st := range matchStores(&loads[i], stores, cache) {
@@ -720,7 +429,7 @@ func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep
 		}
 	}
 	for _, ld := range h.elemLoads {
-		if tick != nil && !tick() {
+		if !spend() {
 			return
 		}
 		for _, st := range h.elemStores {
@@ -730,360 +439,29 @@ func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep
 		}
 	}
 	for _, lr := range h.lenReads {
-		if g.stop != nil {
+		if !spend() {
 			return
 		}
 		g.lenDeps(lr, add)
 	}
 	// Static fields are single global locations: every store reaches
 	// every load of the same field.
-	for fname, loads := range h.staticLoads { //determinism:ok — single emitter per load node
-		if g.stop != nil {
-			return
-		}
-		for _, ld := range loads {
-			for _, st := range h.staticStores[fname] {
+	for _, fname := range sortedKeys(h.staticLoads) {
+		stores := h.staticStores[fname]
+		for _, ld := range h.staticLoads[fname] {
+			if !spend() {
+				return
+			}
+			for _, st := range stores {
 				add(ld, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
 			}
 		}
 	}
 }
 
-// buildSequential is the reference construction: one goroutine, every
-// step ticking the shared meter, deterministic truncation on an
-// exhausted step cap. Unmetered builds take the two-pass direct-CSR
-// path instead.
-func (g *Graph) buildSequential() (*Graph, error) {
-	if !g.bud.Limited(budget.PhaseSDG) {
-		return g.buildTwoPass()
-	}
-	h := newHeapIndex()
-	em := scanEmit{
-		tick: g.tick,
-		dep:  g.addDep,
-		caller: func(callee *pointsto.MCtx, n Node) {
-			g.callerNodes[callee] = append(g.callerNodes[callee], n)
-		},
-		heap: h,
-	}
-	for _, mc := range g.mctxs {
-		if g.stop != nil {
-			break
-		}
-		g.scanCtx(mc, em)
-	}
-	g.emitHeapAndControl(h, make(map[*ir.Method]*cdg.Graph), g.tick, g.addDep)
-	if g.stop != nil {
-		if budget.IsCanceled(g.stop) {
-			return nil, g.stop
-		}
-		g.Truncated = true
-		g.LimitErr = g.stop
-	}
-	g.finalize()
-	return g, nil
-}
-
-// buildTwoPass is the sequential construction for builds without a
-// step cap: a counting pass sizes every node's in-edge list, then a
-// second emission pass writes each edge straight into its final CSR
-// slot — no intermediate edge buffers at all, roughly a quarter of
-// the build's allocated bytes on the larger corpora. Step-capped
-// budgets stay on the single-pass path above because deterministic
-// truncation requires the exact sequential tick interleaving; here the
-// meter can only fail on cancellation or deadline, and either aborts
-// the build outright. The fill pass re-runs the phases in the same
-// order over the retained heap index and CDG cache (heap and caller
-// recording suppressed), so every node's in-edge sequence — and
-// therefore Fingerprint and the codec byte stream — is identical to
-// the single-pass result.
-func (g *Graph) buildTwoPass() (*Graph, error) {
-	n := len(g.nodeCtx)
-	off := make([]int32, n+1)
-	count := func(to Node, d Dep) { off[to+1]++ }
-	h := newHeapIndex()
-	cdgCache := make(map[*ir.Method]*cdg.Graph)
-	em := scanEmit{
-		tick: g.tick,
-		dep:  count,
-		caller: func(callee *pointsto.MCtx, nd Node) {
-			g.callerNodes[callee] = append(g.callerNodes[callee], nd)
-		},
-		heap: h,
-	}
-	for _, mc := range g.mctxs {
-		if g.stop != nil {
-			break
-		}
-		g.scanCtx(mc, em)
-	}
-	g.emitHeapAndControl(h, cdgCache, g.tick, count)
-	if g.stop != nil {
-		return nil, g.stop
-	}
-	start := time.Now()
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	total := int(off[n])
-	deps := make([]Dep, total)
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	g.csrBuild = time.Since(start)
-	place := func(to Node, d Dep) {
-		deps[cur[to]] = d
-		cur[to]++
-	}
-	em2 := scanEmit{tick: func() bool { return true }, dep: place}
-	for _, mc := range g.mctxs {
-		g.scanCtx(mc, em2)
-	}
-	g.emitHeapAndControl(h, cdgCache, nil, place)
-	g.csrOff, g.csrDeps, g.numEdges = off, deps, total
-	return g, nil
-}
-
-// callerAdd is one buffered caller-node record of the parallel scan.
-type callerAdd struct {
-	callee *pointsto.MCtx
-	node   Node
-}
-
-// ctxScan is the buffered outcome of scanning one context.
-type ctxScan struct {
-	deps    []edgeRec
-	callers []callerAdd
-	heap    *heapIndex
-}
-
-// buildParallel runs the three construction phases over a bounded
-// worker pool, with contexts partitioned into contiguous size-balanced
-// buckets (one scan buffer per bucket instead of per context). Only
-// cancellation/deadline errors can occur here (step caps force the
-// sequential path), so an error aborts the whole build.
-func (g *Graph) buildParallel(workers int, ctxSize []int) (*Graph, error) {
-	// Phase 1: scan context buckets into per-bucket buffers.
-	buckets := partitionCtxs(ctxSize, workers)
-	scans := make([]*ctxScan, len(buckets))
-	err := g.forEach(workers, len(buckets), func(m *budget.Meter, i int) error {
-		cs := &ctxScan{heap: newHeapIndex()}
-		var stopErr error
-		em := scanEmit{
-			tick: func() bool {
-				if stopErr != nil {
-					return false
-				}
-				if err := m.Tick(); err != nil {
-					stopErr = err
-					return false
-				}
-				return true
-			},
-			dep:    func(to Node, d Dep) { cs.deps = append(cs.deps, edgeRec{to, d}) },
-			caller: func(callee *pointsto.MCtx, n Node) { cs.callers = append(cs.callers, callerAdd{callee, n}) },
-			heap:   cs.heap,
-		}
-		for _, mc := range g.mctxs[buckets[i].lo:buckets[i].hi] {
-			if stopErr != nil {
-				break
-			}
-			g.scanCtx(mc, em)
-		}
-		scans[i] = cs
-		return stopErr
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge in bucket (= context) order: replays the sequential addDep
-	// order.
-	h := newHeapIndex()
-	for _, cs := range scans {
-		if len(cs.deps) > 0 {
-			g.edgeFull = append(g.edgeFull, cs.deps)
-		}
-		for _, ca := range cs.callers {
-			g.callerNodes[ca.callee] = append(g.callerNodes[ca.callee], ca.node)
-		}
-		h.merge(cs.heap)
-	}
-
-	// Phase 2: heap pairing over node-disjoint access groups. Each
-	// group owns its load nodes exclusively (an instruction accesses
-	// exactly one field), so per-node edge order is within-task order
-	// regardless of how the task buffers are concatenated.
-	var tasks []func(m *budget.Meter, sink func(Node, Dep)) error
-	for _, fname := range sortedKeys(h.fieldLoads) {
-		loads, stores := h.fieldLoads[fname], h.fieldStores[fname]
-		tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-			cache := make(map[maskKey][]Node)
-			for i := range loads {
-				if err := m.Tick(); err != nil {
-					return err
-				}
-				for _, st := range matchStores(&loads[i], stores, cache) {
-					sink(loads[i].node, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-			return nil
-		})
-	}
-	tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-		for _, ld := range h.elemLoads {
-			if err := m.Tick(); err != nil {
-				return err
-			}
-			for _, st := range h.elemStores {
-				if ld.aliases(&st) {
-					sink(ld.node, Dep{Src: st.node, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-		}
-		return nil
-	})
-	tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-		for _, lr := range h.lenReads {
-			if err := m.Tick(); err != nil {
-				return err
-			}
-			g.lenDeps(lr, sink)
-		}
-		return nil
-	})
-	for _, fname := range sortedKeys(h.staticLoads) {
-		loads, stores := h.staticLoads[fname], h.staticStores[fname]
-		tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-			if err := m.Err(); err != nil {
-				return err
-			}
-			for _, ld := range loads {
-				for _, st := range stores {
-					sink(ld, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-			return nil
-		})
-	}
-	taskBufs := make([][]edgeRec, len(tasks))
-	if err := g.forEach(workers, len(tasks), func(m *budget.Meter, i int) error {
-		return tasks[i](m, func(to Node, d Dep) { taskBufs[i] = append(taskBufs[i], edgeRec{to, d}) })
-	}); err != nil {
-		return nil, err
-	}
-	for _, buf := range taskBufs {
-		if len(buf) > 0 {
-			g.edgeFull = append(g.edgeFull, buf)
-		}
-	}
-
-	// Phase 3: control dependences. Intraprocedural CDGs first (one
-	// per method, in first-context order), then per-context edges;
-	// each context appends only to its own nodes' rows.
-	var methods []*ir.Method
-	cdgOf := make(map[*ir.Method]*cdg.Graph)
-	for _, mc := range g.mctxs {
-		if _, ok := cdgOf[mc.Method]; !ok {
-			cdgOf[mc.Method] = nil
-			methods = append(methods, mc.Method)
-		}
-	}
-	cgs := make([]*cdg.Graph, len(methods))
-	if err := g.forEach(workers, len(methods), func(m *budget.Meter, i int) error {
-		if err := m.Err(); err != nil {
-			return err
-		}
-		cgs[i] = cdg.Build(methods[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, m := range methods {
-		cdgOf[m] = cgs[i]
-	}
-	ctrlBufs := make([][]edgeRec, len(buckets))
-	if err := g.forEach(workers, len(buckets), func(m *budget.Meter, i int) error {
-		if err := m.Err(); err != nil {
-			return err
-		}
-		for _, mc := range g.mctxs[buckets[i].lo:buckets[i].hi] {
-			g.controlCtx(mc, cdgOf[mc.Method], func(to Node, d Dep) { ctrlBufs[i] = append(ctrlBufs[i], edgeRec{to, d}) })
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, buf := range ctrlBufs {
-		if len(buf) > 0 {
-			g.edgeFull = append(g.edgeFull, buf)
-		}
-	}
-
-	g.finalize()
-	return g, nil
-}
-
-// forEach runs f(meter, i) for i in [0,n) over a bounded worker pool.
-// Each worker draws its own budget meter (shared meters are not
-// goroutine-safe); the first error aborts the pool and is returned.
-// A worker panic is re-raised on the calling goroutine so the facade's
-// recover boundary still converts it to a typed internal error.
-func (g *Graph) forEach(workers, n int, f func(m *budget.Meter, i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-		panicV any
-		halt   atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					mu.Unlock()
-					halt.Store(true)
-				}
-			}()
-			m := g.bud.Phase(budget.PhaseSDG)
-			for !halt.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := f(m, i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					halt.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
-	return first
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { //determinism:ok — sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -1091,32 +469,29 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // tick spends one construction step; once the budget fails the graph
-// stops growing (sticky), and Build interprets the violation.
-func (g *Graph) tick() bool {
+// stops growing (sticky), and the builder interprets the violation.
+func (g *Graph) tick() bool { return g.tickN(1) }
+
+// tickN spends n construction steps at once.
+func (g *Graph) tickN(n int) bool {
 	if g.stop != nil {
 		return false
 	}
-	if err := g.meter.Tick(); err != nil {
+	if err := g.meter.TickN(int64(n)); err != nil {
 		g.stop = err
 		return false
 	}
 	return true
 }
 
-func (g *Graph) addDep(to Node, d Dep) {
-	if !g.tick() {
-		return
-	}
-	g.emit(to, d)
-}
-
 // linkCall adds parameter and return edges for every callee context of
-// a call site in a caller context.
-func (g *Graph) linkCall(caller *pointsto.MCtx, callNode Node, call *ir.Call, em scanEmit) {
-	callerDelta := int(g.base[caller]) - g.firstID[caller.Method]
+// a call site in a caller context, whose nodes are its instruction IDs
+// plus callerDelta. With record set it also records the call site as a
+// caller of each callee context.
+func (g *Graph) linkCall(caller *pointsto.MCtx, callerDelta int, callNode Node, call *ir.Call, add func(to Node, d Dep), record bool) {
 	for _, callee := range g.Pts.CalleesAt(call, caller) {
-		if em.caller != nil {
-			em.caller(callee, callNode)
+		if record {
+			g.callerNodes[callee] = append(g.callerNodes[callee], callNode)
 		}
 		calleeDelta := int(g.base[callee]) - g.firstID[callee.Method]
 		params := callee.Method.Params
@@ -1124,7 +499,7 @@ func (g *Graph) linkCall(caller *pointsto.MCtx, callNode Node, call *ir.Call, em
 		if !callee.Method.Sig.Static {
 			offset = 1
 			if call.Recv != nil && call.Recv.Def != nil {
-				em.dep(Node(calleeDelta+params[0].ID()),
+				add(Node(calleeDelta+params[0].ID()),
 					Dep{Src: Node(callerDelta + call.Recv.Def.ID()), Kind: EdgeParam, Via: callNode})
 			}
 		}
@@ -1133,31 +508,16 @@ func (g *Graph) linkCall(caller *pointsto.MCtx, callNode Node, call *ir.Call, em
 				break
 			}
 			if arg.Def != nil {
-				em.dep(Node(calleeDelta+params[i+offset].ID()),
+				add(Node(calleeDelta+params[i+offset].ID()),
 					Dep{Src: Node(callerDelta + arg.Def.ID()), Kind: EdgeParam, Via: callNode})
 			}
 		}
 		if call.Dst != nil {
 			for _, ret := range g.returns[callee.Method] {
 				if ret.Val != nil {
-					em.dep(callNode, Dep{Src: Node(calleeDelta + ret.ID()), Kind: EdgeReturn, Via: NoNode})
+					add(callNode, Dep{Src: Node(calleeDelta + ret.ID()), Kind: EdgeReturn, Via: NoNode})
 				}
 			}
 		}
 	}
-}
-
-func intersects(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

@@ -17,12 +17,6 @@
 // published, so a budget-truncated or degraded result, and everything
 // derived from it, reaches only the caller that asked for it.
 //
-// Sessions also own the parallel construction paths: per-method SSA
-// lowering (ir.LowerWorkers) and dependence-graph construction
-// (sdg.BuildWorkers) run over bounded worker pools and produce output
-// byte-identical to the sequential builds, so worker count never keys
-// the cache.
-//
 // Package analyzer re-exports this package's options and wraps a
 // session in its one-shot Analyze.
 package session
@@ -65,7 +59,7 @@ type Stats struct {
 	PointsTos     int // full pointer analyses
 	DeltaSolves   int // incremental pointer re-solves (pointsto.SolveDelta)
 	SDGs          int // full dependence graph builds
-	DeltaSDGs     int // incremental dependence graph rebuilds (sdg.BuildDelta)
+	DeltaSDGs     int // dependence graph rebuilds off the previous build's templates
 	CHAs          int // class-hierarchy call graph builds
 	ModRefs       int // mod-ref computations
 	CSGraphs      int // context-sensitive SDG builds
@@ -79,7 +73,6 @@ type config struct {
 	noPrelude   bool
 	verifyIR    bool
 	budget      *budget.Budget
-	workers     int
 	store       *Store
 	disk        *diskstore.Cache
 	remote      RemoteFetch
@@ -113,11 +106,6 @@ func WithVerifyIR() Option { return func(c *config) { c.verifyIR = true } }
 // from them, are never cached.
 func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b } }
 
-// WithWorkers sets the worker count for the parallel construction
-// phases: 1 forces sequential builds, 0 (the default) selects
-// GOMAXPROCS. Output is byte-identical either way.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
 // InStore places the session's artifacts in an existing store, sharing
 // them with every other session using that store.
 func InStore(st *Store) Option { return func(c *config) { c.store = st } }
@@ -125,15 +113,15 @@ func InStore(st *Store) Option { return func(c *config) { c.store = st } }
 // WithIncremental turns on the session's keyed derivation graph: the
 // IR artifact is assembled from per-method lowering units addressed by
 // depgraph unit keys (so an edit re-lowers only its transitively
-// affected frontier, in Kahn-style callee-first batches), and the
-// pointer analysis and dependence graph retain enough state after each
-// complete build to re-derive the next revision incrementally
-// (pointsto.SolveDelta, sdg.BuildDelta) — both proven byte-identical
-// to from-scratch builds. Retention costs memory proportional to the
-// last build, so it is opt-in; thinslice watch and the server's /watch
-// stream open their sessions with it. Incremental re-derivation engages
-// only for unbudgeted sessions (a truncated delta would poison every
-// later one); budgeted sessions fall back to full builds.
+// affected frontier), and the pointer analysis and dependence graph
+// retain enough state after each complete build to re-derive the next
+// revision incrementally (pointsto.SolveDelta, sdg.BuildDelta) — both
+// proven byte-identical to from-scratch builds. Retention costs memory
+// proportional to the last build, so it is opt-in; thinslice watch and
+// the server's /watch stream open their sessions with it. Incremental
+// re-derivation engages only for unbudgeted sessions (a truncated delta
+// would poison every later one); budgeted sessions fall back to full
+// builds.
 func WithIncremental() Option { return func(c *config) { c.incremental = true } }
 
 // WithDiskCache layers a persistent disk tier under the in-memory
@@ -569,10 +557,9 @@ func (s *Session) parseFile(name, src string) ([]*ast.ClassDecl, error) {
 // current source set: one unit per lowering job, keyed by a content
 // hash covering the unit's declaration and the deep fingerprints of
 // every class its lowering can observe. The incremental pipeline hangs
-// off it three ways — unit keys address per-method IR payloads in the
-// store, Diff against the previous revision's graph yields the
-// changed-symbol frontier, and TopoBatches schedules the frontier's
-// re-derivation callees-first.
+// off it two ways: unit keys address per-method IR payloads in the
+// store, and Diff against the previous revision's graph yields the
+// changed-symbol frontier.
 func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	info, err := s.Info()
 	if err != nil {
@@ -615,13 +602,12 @@ func unitArtifact(info *types.Info, u depgraph.Unit) artifact[[]byte] {
 
 // lowerViaUnits assembles the program from per-method units: payloads
 // found in the store or fetched through the disk and peer tiers are
-// cloned, the dirty frontier is re-lowered in Kahn-style callee-first
-// batches over the worker pool, and freshly derived units are published
-// back to the store and disk tier. The result is byte-identical to
-// ir.LowerWorkers; nil means a unit failed to relink.
+// cloned, every other unit (the dirty frontier after an edit, all of
+// them on a cold build) is lowered fresh, and the fresh units are
+// encoded and published back to the store and disk tier. The result is
+// byte-identical to ir.Lower; nil means a unit failed to relink.
 func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) *ir.Program {
 	reuse := make(map[string][]byte, len(depg.Units))
-	dirty := make(map[string]bool)
 	for _, u := range depg.Units {
 		unit := unitArtifact(info, u)
 		if v, ok := s.cfg.store.peek(unit.key); ok {
@@ -629,46 +615,28 @@ func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) *ir.Prog
 		} else if payload, ok := unit.fetch(s); ok {
 			reuse[u.QName] = payload
 			s.cfg.store.put(unit.key, payload)
-		} else {
-			dirty[u.QName] = true
 		}
 	}
-	cached := len(reuse)
-	fresh := map[string][]byte{}
-	if len(dirty) > 0 && cached > 0 {
-		// Warm rebuild: re-derive only the frontier, callees before
-		// callers so each batch fans out independently.
-		fresh = ir.LowerBatches(info, depg.TopoBatches(dirty), s.cfg.workers)
-		for q, p := range fresh {
-			reuse[q] = p
-		}
-	}
-	prog, lst, err := ir.LowerUnits(info, reuse, s.cfg.workers)
+	prog, lst, err := ir.LowerUnits(info, reuse)
 	if err != nil {
 		return nil
 	}
 	s.count(func(st *Stats) {
-		st.UnitReuses += cached
-		st.UnitLowers += len(fresh) + lst.Lowered
+		st.UnitReuses += len(reuse)
+		st.UnitLowers += lst.Lowered
 	})
 	if len(prog.Diags) > 0 {
 		return prog // the caller surfaces the diagnostics; publish nothing
 	}
-	var byQ map[string]*ir.Method
+	byQ := make(map[string]*ir.Method, len(prog.Methods))
+	for _, m := range prog.Methods {
+		byQ[m.Sig.QualifiedName()] = m
+	}
 	for _, u := range depg.Units {
-		if !dirty[u.QName] {
+		if _, ok := reuse[u.QName]; ok {
 			continue
 		}
-		payload := fresh[u.QName]
-		if payload == nil {
-			if byQ == nil {
-				byQ = make(map[string]*ir.Method, len(prog.Methods))
-				for _, m := range prog.Methods {
-					byQ[m.Sig.QualifiedName()] = m
-				}
-			}
-			payload = ir.EncodeUnit(byQ[u.QName])
-		}
+		payload := ir.EncodeUnit(byQ[u.QName])
 		unit := unitArtifact(info, u)
 		s.cfg.store.put(unit.key, payload)
 		unit.publish(s, payload)
@@ -704,7 +672,7 @@ func (s *Session) Prog() (*ir.Program, error) {
 			}
 			if p == nil {
 				s.count(func(st *Stats) { st.Lowers++ })
-				p = ir.LowerWorkers(info, s.cfg.workers)
+				p = ir.Lower(info)
 			}
 			if len(p.Diags) > 0 {
 				return nil, p.Diags
@@ -841,11 +809,11 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 	})
 }
 
-// Graph returns the dependence graph, built in parallel when the
-// session's worker count allows. Truncated graphs, and graphs over a
-// truncated or degraded points-to result, are not cached. Incremental
-// sessions rebuild it off the previous build's per-method templates,
-// recomputing only the points-to-derived edges.
+// Graph returns the dependence graph, metered by the session's budget.
+// Truncated graphs, and graphs over a truncated or degraded points-to
+// result, are not cached. Incremental sessions rebuild it off the
+// previous build's per-method templates, recomputing only the
+// points-to-derived edges; every other build starts from no templates.
 func (s *Session) Graph() (*sdg.Graph, error) {
 	pts, err := s.PointsTo()
 	if err != nil {
@@ -870,25 +838,30 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 		partialInputs: partialPts(pts),
 		partial:       func(g *sdg.Graph) bool { return g.Truncated },
 		build: func() (*sdg.Graph, error) {
-			if !s.deltaCapable() {
-				s.count(func(st *Stats) { st.SDGs++ })
-				return sdg.BuildWorkers(prog, pts, s.cfg.budget, s.cfg.workers)
-			}
-			last := s.retainedState()
+			var prev *sdg.BuildState
 			var changed []string
-			if last.sdgSt != nil {
-				d := depgraph.Diff(last.sdgDepg, depg)
-				changed = append(append([]string(nil), d.Changed...), d.Added...)
+			if s.deltaCapable() {
+				last := s.retainedState()
+				if prev = last.sdgSt; prev != nil {
+					d := depgraph.Diff(last.sdgDepg, depg)
+					changed = append(append([]string(nil), d.Changed...), d.Added...)
+				}
 			}
-			graph, st, _ := sdg.BuildDelta(prog, pts, last.sdgSt, changed)
-			s.count(func(stt *Stats) {
-				if last.sdgSt != nil {
-					stt.DeltaSDGs++
+			s.count(func(st *Stats) {
+				if prev != nil {
+					st.DeltaSDGs++
 				} else {
-					stt.SDGs++
+					st.SDGs++
 				}
 			})
-			s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
+			graph, st, _, err := sdg.BuildDelta(prog, pts, prev, changed, s.cfg.budget)
+			if err != nil {
+				return nil, err
+			}
+			// Unbudgeted, so complete: safe to seed the next delta.
+			if s.deltaCapable() {
+				s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
+			}
 			return graph, nil
 		},
 	})

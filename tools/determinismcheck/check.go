@@ -46,15 +46,15 @@ func (f Finding) String() string {
 // seedFunc reports whether name is a determinism-critical entry point.
 // Besides the codec/printer family, the incremental delta entry
 // points are seeds: their outputs are contractually byte-identical to
-// the full builds they replace (depgraph unit keys and diffs,
-// batch-ordered re-lowering, delta points-to solves, delta SDG
-// splicing), so a map-order dependence anywhere beneath them breaks
-// the equivalence oracle, not just a log line.
+// the full builds they replace (depgraph unit keys and diffs, unit
+// re-lowering, delta points-to solves, the SDG builder), so a
+// map-order dependence anywhere beneath them breaks the equivalence
+// oracle, not just a log line.
 func seedFunc(name string) bool {
 	return name == "Fingerprint" || name == "Sprint" || name == "Fprint" ||
 		strings.HasPrefix(name, "Encode") ||
-		name == "Diff" || name == "TopoBatches" ||
-		name == "LowerBatches" || name == "SolveDelta" || name == "BuildDelta"
+		name == "Diff" || name == "LowerUnits" ||
+		name == "SolveDelta" || name == "BuildDelta"
 }
 
 // checker loads and type-checks every package of one module from
