@@ -69,8 +69,8 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 		return Node(v), nil
 	}
 	// Rows arrive in node order, so they go straight into the CSR arrays.
-	// Every dependence takes at least three payload bytes, which bounds
-	// the edge count by the input length.
+	// Every dependence takes at least three payload bytes and only fully
+	// read ones are kept, which bounds the edge count by the input length.
 	off := make([]int32, total+1)
 	deps := make([]Dep, 0, len(data)/3)
 	for i := 0; i < total; i++ {
@@ -88,8 +88,8 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 				return nil, firstErr(r.Err(), fmt.Errorf("sdg: decode: unknown edge kind %d", kind))
 			}
 			via, err := node()
-			if err != nil {
-				return nil, firstErr(r.Err(), err)
+			if err := firstErr(r.Err(), err); err != nil {
+				return nil, err // a dependence read past the end never lands
 			}
 			deps = append(deps, Dep{Src: src, Kind: EdgeKind(kind), Via: via})
 		}

@@ -111,10 +111,10 @@ type Graph struct {
 	Prog *ir.Program
 	Pts  *pointsto.Result
 
-	// Truncated reports that construction stopped at the edge budget:
-	// the node set is complete but some dependence edges are missing,
-	// so slices over this graph may be under-approximate. LimitErr
-	// carries the triggering *budget.ErrExhausted.
+	// Truncated reports that construction stopped at a step cap: the
+	// node set is complete but some dependence edges are missing, so
+	// slices over this graph may be under-approximate. LimitErr carries
+	// the triggering *budget.ErrExhausted.
 	Truncated bool
 	LimitErr  error
 
@@ -152,8 +152,9 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // view into the CSR edge array; callers must not mutate it).
 func (g *Graph) Deps(n Node) []Dep { return g.csrDeps[g.csrOff[n]:g.csrOff[n+1]] }
 
-// CSRBuildDuration reports how long packing the per-node edge lists
-// into the CSR layout took (the bench harness's csr_build_us column).
+// CSRBuildDuration reports how long the build spent laying out the CSR
+// arrays between its count and fill passes (the bench harness's
+// csr_build_us column); zero for a decoded graph.
 func (g *Graph) CSRBuildDuration() time.Duration { return g.csrBuild }
 
 // newGraph lays out the node numbering that prog and pts determine:
