@@ -41,10 +41,26 @@ func objLess(a, b *Object) bool {
 	}
 }
 
-// remapBits rewrites a bitset through an object-ID permutation.
+// remapBits rewrites a bitset through an object-ID permutation. It
+// finds the permuted span first, so the result is allocated once and
+// is trimmed.
 func remapBits(b bitset, perm []int32) bitset {
-	var out bitset
-	b.forEach(func(id int) { out.add(int(perm[id])) })
+	lo, hi := -1, -1
+	b.forEach(func(id int) {
+		p := int(perm[id])
+		if lo < 0 || p < lo {
+			lo = p
+		}
+		hi = max(hi, p)
+	})
+	if lo < 0 {
+		return bitset{}
+	}
+	out := bitset{off: lo >> 6, words: make([]uint64, hi>>6-lo>>6+1)}
+	b.forEach(func(id int) {
+		p := int(perm[id])
+		out.words[p>>6-out.off] |= 1 << (uint(p) & 63)
+	})
 	return out
 }
 

@@ -431,14 +431,7 @@ func (d *deltaState) markPolluted() {
 		if d.ps.parent[n.id] != n.id || d.dirtyNode[n.id] {
 			continue
 		}
-		polluted := false
-		for w, bits := range d.dirtyObjBits {
-			if w < len(n.pts) && n.pts[w]&bits != 0 {
-				polluted = true
-				break
-			}
-		}
-		if polluted {
+		if n.pts.intersects(d.dirtyObjBits) {
 			d.markNodeID(n.id)
 		}
 	}

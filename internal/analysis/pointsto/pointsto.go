@@ -14,7 +14,6 @@ package pointsto
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"thinslice/internal/budget"
@@ -155,23 +154,16 @@ func (r *Result) PointsToIn(reg *ir.Reg, mc *MCtx) []*Object {
 	return out
 }
 
-// PointsToIDsIn appends the object IDs of reg's points-to set in
-// context mc to dst (in ascending ID order — bitset order is ID order)
-// and returns the extended slice. It is the allocation-light variant
-// of PointsToIn for callers that only need IDs, like the SDG build's
-// heap-access pairing.
-func (r *Result) PointsToIDsIn(dst []int, reg *ir.Reg, mc *MCtx) []int {
+// PointsToSetIn returns the points-to set of reg in context mc (empty
+// for untracked or non-reference registers). It is the allocation-free
+// variant of PointsToIn for callers that only test or list IDs, like
+// the SDG build's heap-access pairing.
+func (r *Result) PointsToSetIn(reg *ir.Reg, mc *MCtx) Set {
 	n := r.varNodes[varKey{reg, mc.Ctx}]
 	if n == nil {
-		return dst
+		return Set{}
 	}
-	if need := len(dst) + n.pts.count(); cap(dst) < need {
-		grown := make([]int, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
-	n.pts.forEach(func(id int) { dst = append(dst, id) })
-	return dst
+	return Set{n.pts}
 }
 
 // CalleesAt returns the callee contexts of a call site as invoked from
@@ -287,86 +279,6 @@ func objCompatible(o *Object, t types.Type) bool {
 }
 
 // --- solver internals ---
-
-// bitset is a dense bitset over object IDs.
-type bitset []uint64
-
-func (b *bitset) add(i int) bool {
-	w, m := i/64, uint64(1)<<(i%64)
-	for len(*b) <= w {
-		*b = append(*b, 0)
-	}
-	if (*b)[w]&m != 0 {
-		return false
-	}
-	(*b)[w] |= m
-	return true
-}
-
-func (b bitset) has(i int) bool {
-	w := i / 64
-	return w < len(b) && b[w]&(1<<(i%64)) != 0
-}
-
-// orDiff ors src into b and returns the newly-set bits. The result
-// aliases s.diffScratch and is valid only until the next call.
-func (s *solver) orDiff(b *bitset, src bitset) bitset {
-	for len(*b) < len(src) {
-		*b = append(*b, 0)
-	}
-	if cap(s.diffScratch) < len(src) {
-		s.diffScratch = make(bitset, 0, len(src)+4)
-	}
-	diff := s.diffScratch[:0]
-	for w, v := range src {
-		d := v &^ (*b)[w]
-		if d != 0 {
-			(*b)[w] |= d
-			for len(diff) <= w {
-				diff = append(diff, 0)
-			}
-			diff[w] = d
-		}
-	}
-	s.diffScratch = diff[:0]
-	return diff
-}
-
-// or merges src into b without tracking the difference.
-func (b *bitset) or(src bitset) {
-	for len(*b) < len(src) {
-		*b = append(*b, 0)
-	}
-	for w, x := range src {
-		(*b)[w] |= x
-	}
-}
-
-func (b bitset) forEach(f func(int)) {
-	for w, word := range b {
-		for word != 0 {
-			f(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-func (b bitset) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 type loadCon struct {
 	field *types.FieldInfo // nil for array elements
@@ -608,9 +520,10 @@ func defaultEntries(prog *ir.Program, cfg Config) []*ir.Method {
 // the solver for the incremental path.
 func (s *solver) finish() *Result {
 	s.res.LimitErr = s.stop
-	if s.cycleElim {
+	if s.res.Collapsed > 0 {
 		// Normalize the query-facing node maps to representatives so the
 		// Result never reads a collapsed member's (stale, nil'd) fields.
+		// With nothing collapsed every node is its own representative.
 		for k, n := range s.varNodes { //determinism:ok in-place per-key rewrite, independent
 			s.varNodes[k] = s.find(n)
 		}
@@ -760,21 +673,9 @@ func (s *solver) addEdge(from, to *node) {
 	s.edgeSet[key] = struct{}{}
 	from.succs = append(from.succs, to)
 	s.edgesSince++
-	if !from.pts.empty() {
-		diff := s.orDiff(&to.pts, from.pts)
-		if !diff.empty() {
-			mergeFrontier(to, diff)
-			s.push(to)
-		}
-	}
-}
-
-func mergeFrontier(n *node, diff bitset) {
-	for len(n.frontier) < len(diff) {
-		n.frontier = append(n.frontier, 0)
-	}
-	for w, d := range diff {
-		n.frontier[w] |= d
+	if diff := s.orDiff(&to.pts, from.pts); !diff.empty() {
+		to.frontier.or(diff)
+		s.push(to)
 	}
 }
 
@@ -952,12 +853,7 @@ func (s *solver) replayObjects(n *node) {
 	if !n.pts.empty() {
 		// Move everything back into the frontier so the new constraint
 		// sees all known objects.
-		for len(n.frontier) < len(n.pts) {
-			n.frontier = append(n.frontier, 0)
-		}
-		for w, bits := range n.pts {
-			n.frontier[w] |= bits
-		}
+		n.frontier.or(n.pts)
 		s.push(n)
 	}
 }
@@ -1052,7 +948,7 @@ func (s *solver) solve() {
 			continue // collapsed into a representative that owns its frontier
 		}
 		delta := n.frontier
-		n.frontier = nil
+		n.frontier = bitset{}
 		if delta.empty() {
 			continue
 		}
@@ -1097,9 +993,8 @@ func (s *solver) solve() {
 			if succ == n {
 				continue
 			}
-			diff := s.orDiff(&succ.pts, delta)
-			if !diff.empty() {
-				mergeFrontier(succ, diff)
+			if diff := s.orDiff(&succ.pts, delta); !diff.empty() {
+				succ.frontier.or(diff)
 				s.push(succ)
 			}
 		}
@@ -1210,7 +1105,7 @@ func (s *solver) collapse(comp []int32) {
 		rn.stores = append(rn.stores, m.stores...)
 		rn.calls = append(rn.calls, m.calls...)
 		rn.filters = append(rn.filters, m.filters...)
-		m.pts, m.frontier, m.succs = nil, nil, nil
+		m.pts, m.frontier, m.succs = bitset{}, bitset{}, nil
 		m.loads, m.stores, m.calls, m.filters = nil, nil, nil, nil
 		s.res.Collapsed++
 	}
@@ -1230,7 +1125,7 @@ func (s *solver) collapse(comp []int32) {
 	}
 	rn.succs = out
 	if !rn.pts.empty() {
-		rn.frontier = rn.frontier[:0]
+		rn.frontier = bitset{}
 		rn.frontier.or(rn.pts)
 		s.push(rn)
 	}

@@ -60,11 +60,15 @@ func TestReaderRejectsMalformedInput(t *testing.T) {
 		"truncated uvarint": func(r *Reader) { r.Uvarint() },
 		"oversized string":  func(r *Reader) { _ = r.String() },
 		"oversized count":   func(r *Reader) { r.Ints() },
+		"padded uvarint":    func(r *Reader) { r.Uvarint() },
+		"padded varint":     func(r *Reader) { r.Int64() },
 	}
 	inputs := map[string][]byte{
 		"truncated uvarint": {0x80},             // continuation bit, no next byte
 		"oversized string":  {0xFF, 0xFF, 0x03}, // length way past the end
 		"oversized count":   {0xFF, 0xFF, 0x03},
+		"padded uvarint":    {0xAE, 0x00}, // 46 with a redundant zero byte
+		"padded varint":     {0x80, 0x00}, // 0 with a redundant zero byte
 	}
 	for name, read := range cases {
 		r := NewReader(inputs[name])

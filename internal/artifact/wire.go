@@ -95,13 +95,15 @@ func (r *Reader) Finish() error {
 	return nil
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Writer emits only minimal varints,
+// so a multi-byte varint whose last byte is zero (0xAE 0x00 for 46) is
+// malformed: accepting it would let two payloads decode to one value.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.off+n-1] == 0 {
 		r.fail("artifact: malformed uvarint at offset %d", r.off)
 		return 0
 	}
@@ -119,13 +121,14 @@ func (r *Reader) Int() int {
 	return int(x)
 }
 
-// Int64 reads a signed 64-bit integer.
+// Int64 reads a signed 64-bit integer. Like Uvarint it rejects a
+// varint padded with a zero last byte.
 func (r *Reader) Int64() int64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.off+n-1] == 0 {
 		r.fail("artifact: malformed varint at offset %d", r.off)
 		return 0
 	}

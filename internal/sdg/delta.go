@@ -131,26 +131,22 @@ func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, add func(to Nod
 	if h == nil {
 		return
 	}
-	// Points-to IDs arrive sorted straight off the solver's bitsets;
-	// the pairing phase's intersection tests rely on that order.
-	objIDs := func(r *ir.Reg) []int {
-		return g.Pts.PointsToIDsIn(nil, r, mc)
-	}
+	objs := func(r *ir.Reg) pointsto.Set { return g.Pts.PointsToSetIn(r, mc) }
 	for _, local := range t.heap {
 		node := Node(base + int(local))
 		switch ins := g.Prog.InstrByID(first + int(local)).(type) {
 		case *ir.SetField:
 			q := ins.Field.QualifiedName()
-			h.fieldStores[q] = append(h.fieldStores[q], newHeapAccess(node, objIDs(ins.Obj)))
+			h.fieldStores[q] = append(h.fieldStores[q], heapAccess{node, objs(ins.Obj)})
 		case *ir.GetField:
 			q := ins.Field.QualifiedName()
-			h.fieldLoads[q] = append(h.fieldLoads[q], newHeapAccess(node, objIDs(ins.Obj)))
+			h.fieldLoads[q] = append(h.fieldLoads[q], heapAccess{node, objs(ins.Obj)})
 		case *ir.ArrayStore:
-			h.elemStores = append(h.elemStores, newHeapAccess(node, objIDs(ins.Arr)))
+			h.elemStores = append(h.elemStores, heapAccess{node, objs(ins.Arr)})
 		case *ir.ArrayLoad:
-			h.elemLoads = append(h.elemLoads, newHeapAccess(node, objIDs(ins.Arr)))
+			h.elemLoads = append(h.elemLoads, heapAccess{node, objs(ins.Arr)})
 		case *ir.ArrayLen:
-			h.lenReads = append(h.lenReads, heapAccess{node: node, objs: objIDs(ins.Arr)})
+			h.lenReads = append(h.lenReads, heapAccess{node, objs(ins.Arr)})
 		case *ir.SetStatic:
 			q := ins.Field.QualifiedName()
 			h.staticStores[q] = append(h.staticStores[q], node)
