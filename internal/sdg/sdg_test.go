@@ -1,9 +1,11 @@
 package sdg_test
 
 import (
+	"sync"
 	"testing"
 
 	"thinslice/internal/analyzer"
+	"thinslice/internal/bench"
 	"thinslice/internal/ir"
 	"thinslice/internal/papercases"
 	"thinslice/internal/sdg"
@@ -339,5 +341,32 @@ func TestCallersOf(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("got %d caller nodes, want 2", total)
+	}
+}
+
+// TestConcurrentBuildsShareOneResult builds one program's graph from
+// several goroutines over one points-to Result, as concurrent requests
+// do over a cached one. The heap pairing reads the Result's sets in
+// place, so the builds must not write them and must all agree.
+func TestConcurrentBuildsShareOneResult(t *testing.T) {
+	a, err := analyzer.Analyze(bench.Generate("nanoxml", 1).Sources)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	want := a.Graph.Fingerprint()
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = sdg.Build(a.Prog, a.Pts).Fingerprint()
+		}(i)
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Errorf("build %d: fingerprint %s, want %s", i, fp, want)
+		}
 	}
 }
