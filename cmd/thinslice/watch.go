@@ -14,8 +14,9 @@ package main
 //
 // Each revision prints the updated slices, optional checker findings,
 // and what the derivation graph actually re-derived — the point of the
-// exercise is that a one-line edit re-lowers one method and re-solves
-// deltas, not the world.
+// exercise is that a one-line edit re-lowers one method and rebuilds
+// the dependence graph off the previous revision's templates, not the
+// world. Points-to is solved from scratch on every revision.
 
 import (
 	"context"
@@ -107,7 +108,7 @@ func runWatch(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Incremental sessions run unbudgeted: the delta paths refuse to
+	// Incremental sessions run unbudgeted: SDG template reuse refuses to
 	// engage under a budget, and an interactive watch wants warm edits
 	// to stay cheap, not truncated.
 	sess := session.Open(sources, session.WithIncremental(), session.WithObjSens(!*noObjSens))
@@ -268,9 +269,6 @@ func incrementalSummary(before, after session.Stats) string {
 	var parts []string
 	if lowered > 0 || reused > 0 {
 		parts = append(parts, fmt.Sprintf("%d unit(s) lowered, %d reused", lowered, reused))
-	}
-	if n := after.DeltaSolves - before.DeltaSolves; n > 0 {
-		parts = append(parts, "delta solve")
 	}
 	if n := after.PointsTos - before.PointsTos; n > 0 {
 		parts = append(parts, "full solve")

@@ -47,9 +47,9 @@ func benchPrograms(b *testing.B, specs []benchSpec) []benchProgram {
 
 // BenchmarkAnalyze times one cold solve per program of the cold and
 // check workloads, configured as a server session configures it: object
-// sensitivity on, with a budget attached (so no solver state is
-// retained). objects, contexts and set-words size the solve; set-words
-// counts the 64-bit words the result's variable points-to sets hold.
+// sensitivity on, with a budget attached. objects, contexts and
+// set-words size the solve; set-words counts the 64-bit words the
+// result's variable points-to sets hold.
 func BenchmarkAnalyze(b *testing.B) {
 	progs := append(benchPrograms(b, coldPrograms), benchPrograms(b, checkPrograms)...)
 	for _, p := range progs {

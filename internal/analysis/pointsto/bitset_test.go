@@ -59,7 +59,9 @@ func matches(b bitset, m model) bool {
 			return false
 		}
 	}
-	return b.count() == len(m)
+	n := 0
+	b.forEach(func(int) { n++ })
+	return n == len(m)
 }
 
 func TestBitsetAddHasAgainstModel(t *testing.T) {

@@ -6,12 +6,12 @@ import (
 	"thinslice/internal/ir"
 )
 
-// Canonical renumbering (PR 9). A solver run discovers objects and
-// method-contexts in worklist order, which depends on how the run was
-// seeded: a cold solve and an incremental SolveDelta reach the same
-// fixpoint through different discovery sequences. To make the two
-// byte-identical — EncodeResult payloads, Fingerprints, and the SDG
-// built on top all read raw IDs — every complete solve renumbers its
+// Canonical renumbering. A solver run discovers objects and
+// method-contexts in worklist order, an artifact of how the solver
+// schedules its work (cycle elimination, sweep thresholds, worklist
+// discipline) rather than of the program. EncodeResult payloads,
+// Fingerprints, and the SDG built on top all read raw IDs, and the
+// byte-identity oracles pin them, so every complete solve renumbers its
 // objects and contexts into an order that is a pure function of the
 // analyzed program:
 //
@@ -24,8 +24,7 @@ import (
 //     MCtx's identity.
 //
 // Truncated runs skip canonicalization: their frontiers may be
-// undrained, the codec refuses them anyway, and the incremental path
-// never consumes them.
+// undrained, and the codec refuses them anyway.
 
 // objLess orders objects by site-ID chain, context-insensitive sites
 // before cloned ones.
@@ -67,9 +66,8 @@ func remapBits(b bitset, perm []int32) bitset {
 // canonicalize renumbers s.res in place. Object and MCtx structs keep
 // their addresses (solver maps keyed by pointer stay valid); only IDs,
 // slice orders, per-node bitsets, and the ID-keyed callEdges map
-// change. solver.linked still holds pre-canonical IDs afterwards and
-// must not be consulted again — the incremental path reads
-// res.callEdges instead.
+// change. solver.linked still holds pre-canonical IDs afterwards, so
+// nothing may consult it once the solve is over.
 func (s *solver) canonicalize() {
 	// Capture the old ID → MCtx view before any IDs move: callEdges
 	// keys embed caller IDs.
@@ -135,8 +133,8 @@ func (s *solver) canonicalize() {
 
 	// callEdges: re-key by the new caller IDs and order each callee
 	// list canonically. The per-site callee order is load-bearing for
-	// SDG edge emission, so sorting here is what makes an incremental
-	// SDG rebuild byte-identical to a cold one.
+	// SDG edge emission, so sorting here keeps the SDG bytes a function
+	// of the program alone.
 	edges := make(map[callSiteKey][]*MCtx, len(s.res.callEdges))
 	for k, list := range s.res.callEdges { //determinism:ok map rebuild, per-key independent
 		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })

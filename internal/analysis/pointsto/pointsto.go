@@ -90,10 +90,9 @@ type Config struct {
 	// leave it false and get pointer-equivalent variable nodes collapsed
 	// into union-find representatives (Nuutila/HCD-style).
 	NoCycleElim bool
-	// RetainState keeps the solver's constraint graph alive on a
-	// complete Result so a later SolveDelta can reuse it after an edit.
-	// Costs memory proportional to the solve; watch-mode sessions
-	// enable it.
+	// RetainState is ignored: every solve starts from an empty
+	// constraint graph and keeps none of it on the Result. The field
+	// remains only for callers that still set it.
 	RetainState bool
 }
 
@@ -123,10 +122,6 @@ type Result struct {
 	calleesCI  map[*ir.Call]map[*ir.Method]bool
 	reachableM map[*ir.Method]bool
 	entries    []*ir.Method
-	// solver is retained on complete results when Config.RetainState is
-	// set, for SolveDelta. The retained linked map holds pre-canonical
-	// IDs and is never consulted again; callEdges is the durable view.
-	solver *solver
 }
 
 // callSiteKey identifies a call site in a caller context.
@@ -334,7 +329,6 @@ type mctxKey struct {
 
 type solver struct {
 	prog     *ir.Program
-	cfg      Config
 	res      *Result
 	maxDepth int
 
@@ -373,12 +367,6 @@ type solver struct {
 	meter *budget.Meter
 	// stop is the sticky budget violation that ended the run early.
 	stop error
-
-	// pending holds carried-over inert contexts (SolveDelta) that have
-	// not been re-reached yet: their bodies are never reprocessed, but
-	// on first reach their call sites are replayed to re-register call
-	// edges and value flow into non-inert callees. Nil on cold solves.
-	pending map[*MCtx]bool
 }
 
 // findID returns the representative ID of i, with path halving.
@@ -447,8 +435,7 @@ func Analyze(prog *ir.Program, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newSolver builds an initialized solver (shared by the cold run and
-// SolveDelta).
+// newSolver builds an initialized solver.
 func newSolver(prog *ir.Program, cfg Config) *solver {
 	// The big solver tables all scale with program size: presizing them
 	// from the instruction count avoids their incremental rehashes
@@ -457,7 +444,6 @@ func newSolver(prog *ir.Program, cfg Config) *solver {
 	sz := prog.NumInstrs
 	s := &solver{
 		prog:       prog,
-		cfg:        cfg,
 		maxDepth:   cfg.MaxCtxDepth,
 		containers: make(map[string]bool),
 		varNodes:   make(map[varKey]*node, 2*sz),
@@ -516,8 +502,7 @@ func defaultEntries(prog *ir.Program, cfg Config) []*ir.Method {
 }
 
 // finish drains nothing further: it records the stop state, normalizes
-// query maps, canonicalizes complete fixpoints, and optionally retains
-// the solver for the incremental path.
+// query maps, and canonicalizes complete fixpoints.
 func (s *solver) finish() *Result {
 	s.res.LimitErr = s.stop
 	if s.res.Collapsed > 0 {
@@ -535,9 +520,6 @@ func (s *solver) finish() *Result {
 	}
 	if s.stop == nil {
 		s.canonicalize()
-		if s.cfg.RetainState {
-			s.res.solver = s
-		}
 	}
 	return s.res
 }
@@ -686,27 +668,8 @@ func (s *solver) reach(m *ir.Method, ctx *Object) *MCtx {
 	if fresh {
 		s.res.reachableM[m] = true
 		s.processBody(mc)
-	} else if s.pending != nil && s.pending[mc] {
-		// Carried inert context (SolveDelta): its value constraints are
-		// already baked into the carried nodes; only its call sites need
-		// replaying so edges into non-inert callees regenerate.
-		delete(s.pending, mc)
-		s.res.reachableM[m] = true
-		s.replayCalls(mc)
 	}
 	return mc
-}
-
-// replayCalls re-registers only the call sites of a carried context:
-// processCall for static sites links the callee directly, and for
-// virtual/ctor sites registers the call constraint on the (carried)
-// receiver node and replays its objects through dispatch.
-func (s *solver) replayCalls(mc *MCtx) {
-	mc.Method.Instrs(func(ins ir.Instr) {
-		if call, ok := ins.(*ir.Call); ok {
-			s.processCall(mc, call)
-		}
-	})
 }
 
 // calleeCtx decides the analysis context for a target method given the

@@ -22,12 +22,12 @@ import (
 //
 //   - single_method_edit: a one-literal body change dirties exactly one
 //     derivation unit (the method's positions are unchanged), so the
-//     revision is one unit lower + delta solve + delta SDG.
+//     revision is one unit lower + points-to solve + delta SDG.
 //   - class_shape_change: adding a method changes the class fingerprint,
 //     dirtying every unit that references the class — the expensive end
 //     of the invalidation spectrum, still well under a cold build.
 //   - file_add: a new file with an unreferenced class; every old unit
-//     is reused and the delta solver only seeds the new constraints.
+//     and SDG template is reused.
 
 // watchBenchRow is one edit shape's latency record.
 type watchBenchRow struct {
@@ -163,7 +163,7 @@ func measureWatchRun(t *testing.T, classes, gmp int) watchBenchRun {
 
 	// Every warm round above must have gone down the delta paths; a
 	// silent fallback to full rebuilds would make the numbers a lie.
-	if st := sess.Stats(); st.DeltaSolves == 0 || st.DeltaSDGs == 0 || st.UnitReuses == 0 {
+	if st := sess.Stats(); st.DeltaSDGs == 0 || st.UnitReuses == 0 {
 		t.Fatalf("warm edits did not engage the delta paths: %+v", st)
 	}
 	for _, row := range run.Rows {
@@ -190,7 +190,7 @@ func TestRecordWatchBenchmarks(t *testing.T) {
 		HostCPUs: runtime.NumCPU(),
 		Classes:  24,
 		Note: "best of 7 per cell; warm_edit_ms is apply-edit → updated thin slice on a live " +
-			"incremental session (unit re-lower + delta points-to + delta SDG), byte-identical " +
+			"incremental session (unit re-lower + points-to solve + delta SDG), byte-identical " +
 			"to the cold build it replaces; single_method_edit dirties one derivation unit, " +
 			"class_shape_change re-derives every unit referencing the class, file_add reuses " +
 			"every existing unit",

@@ -133,72 +133,3 @@ func assembleProgram(info *types.Info, jobs []*types.MethodInfo, methods []*Meth
 	}
 	return prog
 }
-
-// ProgramMap aligns the IR objects of unchanged methods across two
-// lowerings of successive revisions. Only methods listed as unchanged
-// are mapped; everything else maps to nil/zero. The downstream deltas
-// (pointsto.SolveDelta, sdg.BuildDelta) use it to translate retained
-// solver state keyed by old pointers into the new program's world.
-type ProgramMap struct {
-	// Method maps an old method to its new clone (unchanged units only).
-	Method map[*Method]*Method
-	// Instr maps old program-wide instruction IDs to new instructions
-	// (nil for instructions of changed/removed methods).
-	Instr []Instr
-	// Reg maps old registers of unchanged methods to their new clones.
-	Reg map[*Reg]*Reg
-}
-
-// MapPrograms builds the old→new correspondence for the unchanged
-// qualified names. Both programs must contain every listed name and the
-// paired methods must be structurally identical (they are byte-
-// identical clones when the depgraph key is unchanged); any mismatch is
-// an error.
-func MapPrograms(old, new *Program, unchanged []string) (*ProgramMap, error) {
-	oldBy := methodsByQName(old)
-	newBy := methodsByQName(new)
-	pm := &ProgramMap{
-		Method: make(map[*Method]*Method, len(unchanged)),
-		Instr:  make([]Instr, old.NumInstrs),
-		Reg:    make(map[*Reg]*Reg),
-	}
-	for _, q := range unchanged {
-		om, nm := oldBy[q], newBy[q]
-		if om == nil || nm == nil {
-			return nil, fmt.Errorf("ir: map: unit %s missing from %s program", q, side(om == nil))
-		}
-		pm.Method[om] = nm
-		var oi, ni []Instr
-		om.Instrs(func(ins Instr) { oi = append(oi, ins) })
-		nm.Instrs(func(ins Instr) { ni = append(ni, ins) })
-		if len(oi) != len(ni) {
-			return nil, fmt.Errorf("ir: map: unit %s instruction count changed (%d vs %d)", q, len(oi), len(ni))
-		}
-		for k, ins := range oi {
-			pm.Instr[ins.ID()] = ni[k]
-		}
-		or, nr := MethodRegs(om), MethodRegs(nm)
-		if len(or) != len(nr) {
-			return nil, fmt.Errorf("ir: map: unit %s register count changed (%d vs %d)", q, len(or), len(nr))
-		}
-		for k, r := range or {
-			pm.Reg[r] = nr[k]
-		}
-	}
-	return pm, nil
-}
-
-func methodsByQName(p *Program) map[string]*Method {
-	m := make(map[string]*Method, len(p.Methods))
-	for _, meth := range p.Methods {
-		m[meth.Sig.QualifiedName()] = meth
-	}
-	return m
-}
-
-func side(oldMissing bool) string {
-	if oldMissing {
-		return "old"
-	}
-	return "new"
-}

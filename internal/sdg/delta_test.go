@@ -13,9 +13,8 @@ import (
 	"thinslice/internal/sdg"
 )
 
-// sdgDeltaProg mirrors the pointsto delta fixture: virtual dispatch,
-// fields, statics, arrays, a container, branches (for control edges),
-// and an unreachable method.
+// sdgDeltaProg covers virtual dispatch, fields, statics, arrays, a
+// container, branches (for control edges), and an unreachable method.
 const sdgDeltaProg = `
 class Box {
   Object val;
@@ -53,9 +52,10 @@ class Main {
 }
 `
 
-// sdgDeltaPipeline runs the full incremental pipeline over one edit —
-// points-to SolveDelta feeding sdg.BuildDelta — and returns the delta
-// graph, its stats, and the cold graph of the new revision.
+// sdgDeltaPipeline runs the incremental SDG pipeline over one edit —
+// the new revision's points-to solve feeding sdg.BuildDelta off the old
+// revision's templates — and returns the delta graph, its stats, and
+// the cold graph of the new revision.
 func sdgDeltaPipeline(t *testing.T, oldSrcs, newSrcs map[string]string, objSens bool) (*sdg.Graph, sdg.DeltaStats, *sdg.Graph) {
 	t.Helper()
 	oldInfo, err := loader.Load(oldSrcs)
@@ -71,27 +71,10 @@ func sdgDeltaPipeline(t *testing.T, oldSrcs, newSrcs map[string]string, objSens 
 		t.Fatalf("lowering diagnostics: %v %v", oldProg.Diags, newProg.Diags)
 	}
 	d := depgraph.Diff(depgraph.Build(oldInfo), depgraph.Build(newInfo))
-	removed := append(append([]string(nil), d.Changed...), d.Removed...)
-	added := append(append([]string(nil), d.Changed...), d.Added...)
-	changed := append(append([]string(nil), removed...), d.Added...)
-	edited := make(map[string]bool)
-	for _, q := range removed {
-		edited[q] = true
-	}
-	var unchanged []string
-	for _, m := range oldProg.Methods {
-		if !edited[m.Sig.QualifiedName()] {
-			unchanged = append(unchanged, m.Sig.QualifiedName())
-		}
-	}
-	pm, err := ir.MapPrograms(oldProg, newProg, unchanged)
-	if err != nil {
-		t.Fatalf("map programs: %v", err)
-	}
+	changed := append(append(append([]string(nil), d.Changed...), d.Removed...), d.Added...)
 	cfg := pointsto.Config{
 		ObjSensContainers: objSens,
 		ContainerClasses:  prelude.ContainerClasses,
-		RetainState:       true,
 	}
 	oldPts, err := pointsto.Analyze(oldProg, cfg)
 	if err != nil {
@@ -100,17 +83,12 @@ func sdgDeltaPipeline(t *testing.T, oldSrcs, newSrcs map[string]string, objSens 
 	oldGraph, state, _, _ := sdg.BuildDelta(oldProg, oldPts, nil, nil, nil)
 	assertGraphsIdentical(t, "cold-path", oldGraph, sdg.Build(oldProg, oldPts))
 
-	newPts, _, err := pointsto.SolveDelta(oldPts, newProg, pm, removed, added, cfg)
-	if err != nil {
-		t.Fatalf("SolveDelta: %v", err)
-	}
-	deltaGraph, _, stats, _ := sdg.BuildDelta(newProg, newPts, state, changed, nil)
-
-	coldPts, err := pointsto.Analyze(newProg, cfg)
+	newPts, err := pointsto.Analyze(newProg, cfg)
 	if err != nil {
 		t.Fatalf("cold solve (new): %v", err)
 	}
-	return deltaGraph, stats, sdg.Build(newProg, coldPts)
+	deltaGraph, _, stats, _ := sdg.BuildDelta(newProg, newPts, state, changed, nil)
+	return deltaGraph, stats, sdg.Build(newProg, newPts)
 }
 
 // assertGraphsIdentical pins both oracles: the structural fingerprint
@@ -176,7 +154,7 @@ func TestBuildDeltaIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := ir.Lower(info)
-	pts, err := pointsto.Analyze(prog, pointsto.Config{RetainState: true})
+	pts, err := pointsto.Analyze(prog, pointsto.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ import (
 // revision-scoped error events and the stream continues; only a
 // malformed stream, a drained server, or a closed connection ends it.
 //
-// Watch sessions run unbudgeted: the incremental delta paths refuse to
-// engage under a budget (a truncated delta would poison every later
-// one), and an editor-driven stream is interactive by nature. The
-// per-revision work is still admitted through the worker pool, so a
-// watch stream cannot starve request traffic between edits.
+// Watch sessions run unbudgeted: SDG template reuse refuses to engage
+// under a budget (a truncated graph would poison every later one), and
+// an editor-driven stream is interactive by nature. The per-revision
+// work is still admitted through the worker pool, so a watch stream
+// cannot starve request traffic between edits.
 
 // WatchEdit is one edit message on a /watch stream. Any combination of
 // fields may be set; an empty edit just re-queries the current
@@ -49,8 +49,8 @@ type WatchEdit struct {
 type WatchIncremental struct {
 	UnitLowers  int `json:"unit_lowers"`  // per-method units lowered fresh
 	UnitReuses  int `json:"unit_reuses"`  // units cloned from the store
-	DeltaSolves int `json:"delta_solves"` // incremental points-to re-solves
-	FullSolves  int `json:"full_solves"`  // full pointer analyses
+	DeltaSolves int `json:"delta_solves"` // always 0: points-to has no incremental solver
+	FullSolves  int `json:"full_solves"`  // pointer analyses, one per rebuilt revision
 	DeltaSDGs   int `json:"delta_sdgs"`   // incremental SDG rebuilds
 	FullSDGs    int `json:"full_sdgs"`    // full SDG builds
 }
@@ -290,12 +290,11 @@ func (s *Server) watchRevision(r *http.Request, sess *session.Session, init *Req
 		ev.Findings = resp.Findings
 	}
 	ev.Incremental = &WatchIncremental{
-		UnitLowers:  after.UnitLowers - before.UnitLowers,
-		UnitReuses:  after.UnitReuses - before.UnitReuses,
-		DeltaSolves: after.DeltaSolves - before.DeltaSolves,
-		FullSolves:  after.PointsTos - before.PointsTos,
-		DeltaSDGs:   after.DeltaSDGs - before.DeltaSDGs,
-		FullSDGs:    after.SDGs - before.SDGs,
+		UnitLowers: after.UnitLowers - before.UnitLowers,
+		UnitReuses: after.UnitReuses - before.UnitReuses,
+		FullSolves: after.PointsTos - before.PointsTos,
+		DeltaSDGs:  after.DeltaSDGs - before.DeltaSDGs,
+		FullSDGs:   after.SDGs - before.SDGs,
 	}
 	ev.ElapsedMS = time.Since(start).Milliseconds()
 	return ev

@@ -129,8 +129,9 @@ func (c *watchClient) next() WatchEvent {
 // TestWatchStreamIncrementalEdits is the end-to-end watch gate: a
 // stream over a multi-file program answers the initial revision with a
 // full build, answers a single-method edit with a delta build (one
-// unit re-lowered, SolveDelta and BuildDelta instead of full solves),
-// survives a revision that does not parse, and recovers on the fix.
+// unit re-lowered, one points-to solve, and BuildDelta instead of a
+// full SDG build), survives a revision that does not parse, and
+// recovers on the fix.
 func TestWatchStreamIncrementalEdits(t *testing.T) {
 	srv, err := New(Config{Workers: 2})
 	if err != nil {
@@ -160,7 +161,8 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 		t.Fatalf("cold revision counters: %+v", cold.Incremental)
 	}
 
-	// One-line body edit: the warm revision must be a pure delta.
+	// One-line body edit: the warm revision re-lowers one unit and
+	// builds the SDG by delta.
 	c.send(WatchEdit{Update: map[string]string{"alpha.mj": watchAlphaEdited}})
 	warm := c.next()
 	if warm.Rev != 1 || warm.Status != "ok" {
@@ -176,8 +178,8 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if inc.UnitLowers != 1 || inc.UnitReuses == 0 {
 		t.Errorf("warm revision re-lowered %d units (reused %d), want exactly 1 fresh", inc.UnitLowers, inc.UnitReuses)
 	}
-	if inc.DeltaSolves != 1 || inc.FullSolves != 0 {
-		t.Errorf("warm revision solves: %+v, want one delta and no full solve", inc)
+	if inc.FullSolves != 1 || inc.DeltaSolves != 0 {
+		t.Errorf("warm revision solves: %+v, want one full solve and no delta", inc)
 	}
 	if inc.DeltaSDGs != 1 || inc.FullSDGs != 0 {
 		t.Errorf("warm revision SDG builds: %+v, want one delta and no full build", inc)

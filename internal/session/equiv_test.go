@@ -17,7 +17,7 @@ import (
 // papercases, and randprog bases), each step asserting the incremental
 // session's points-to result and dependence graph byte-identical to a
 // from-scratch build. This is the session-level closure of the
-// per-layer equivalence proofs (pointsto.SolveDelta, sdg.BuildDelta):
+// per-layer equivalence proofs (unit re-lowering, sdg.BuildDelta):
 // whatever frontier the depgraph computes, the pipeline must not drift.
 
 // sweepMethod is one generated (and editable) method of a sweep class.

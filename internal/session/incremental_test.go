@@ -105,9 +105,9 @@ func assertMatchesColdBuild(t *testing.T, s *session.Session, srcs map[string]st
 
 // TestIncrementalSingleMethodEdit is the tentpole acceptance gate:
 // after editing one method body in a multi-file program, the session
-// re-lowers exactly that unit, re-solves points-to by delta instead of
-// a full analysis, rebuilds the SDG incrementally, and the results are
-// byte-identical to a from-scratch build.
+// re-lowers exactly that unit, re-solves points-to once, rebuilds the
+// SDG off the previous templates, and the results are byte-identical to
+// a from-scratch build.
 func TestIncrementalSingleMethodEdit(t *testing.T) {
 	srcs := incSources()
 	s := session.Open(srcs, session.WithIncremental())
@@ -139,7 +139,7 @@ func TestIncrementalSingleMethodEdit(t *testing.T) {
 	want.Depgraphs++
 	want.UnitLowers++            // Alpha.bump, and nothing else
 	want.UnitReuses += units - 1 // every other unit cloned from the store
-	want.DeltaSolves++
+	want.PointsTos++
 	want.DeltaSDGs++
 	if warm != want {
 		t.Fatalf("single-method edit re-derived the wrong artifacts:\ncold %+v\nwarm %+v\nwant %+v", cold, warm, want)
@@ -213,8 +213,8 @@ func TestRemoveReAddReusesUnits(t *testing.T) {
 	if got, want := mid.UnitReuses-before.UnitReuses, len(shrunk.Units); got != want {
 		t.Fatalf("removal reused %d units, want %d", got, want)
 	}
-	if mid.DeltaSolves != before.DeltaSolves+1 || mid.PointsTos != before.PointsTos {
-		t.Fatalf("removal did not delta-solve: %+v -> %+v", before, mid)
+	if mid.PointsTos != before.PointsTos+1 || mid.DeltaSolves != 0 {
+		t.Fatalf("removal did not re-solve points-to once: %+v -> %+v", before, mid)
 	}
 
 	// Edit the surviving file so the re-add below cannot be a whole-
@@ -243,8 +243,8 @@ func TestRemoveReAddReusesUnits(t *testing.T) {
 	if got, want := after.UnitReuses-edited.UnitReuses, len(full.Units); got != want {
 		t.Fatalf("re-add reused %d units, want %d", got, want)
 	}
-	if after.DeltaSolves != edited.DeltaSolves+1 || after.PointsTos != edited.PointsTos {
-		t.Fatalf("re-add did not delta-solve: %+v -> %+v", edited, after)
+	if after.PointsTos != edited.PointsTos+1 || after.DeltaSolves != 0 {
+		t.Fatalf("re-add did not re-solve points-to once: %+v -> %+v", edited, after)
 	}
 	assertMatchesColdBuild(t, s, srcs)
 }

@@ -156,8 +156,8 @@ func TestUnitRecordsQuarantined(t *testing.T) {
 	if warm.Lowers != 0 || warm.UnitLowers-cold.UnitLowers != 1 || warm.UnitReuses-cold.UnitReuses != len(depg.Units)-1 {
 		t.Fatalf("edit after quarantine did not reuse units:\ncold %+v\nwarm %+v", cold, warm)
 	}
-	if warm.DeltaSolves != 1 {
-		t.Fatalf("edit after quarantine did not delta-solve: %+v", warm)
+	if warm.PointsTos != cold.PointsTos+1 || warm.DeltaSolves != 0 {
+		t.Fatalf("edit after quarantine did not re-solve points-to once:\ncold %+v\nwarm %+v", cold, warm)
 	}
 	assertMatchesColdBuild(t, s, srcs)
 }

@@ -56,8 +56,8 @@ type Stats struct {
 	Depgraphs     int // symbol dependency graph builds
 	UnitLowers    int // per-method lowering units derived fresh
 	UnitReuses    int // per-method lowering units reused from the store
-	PointsTos     int // full pointer analyses
-	DeltaSolves   int // incremental pointer re-solves (pointsto.SolveDelta)
+	PointsTos     int // pointer analyses (every session solves from scratch)
+	DeltaSolves   int // always 0: points-to has no incremental solver
 	SDGs          int // full dependence graph builds
 	DeltaSDGs     int // dependence graph rebuilds off the previous build's templates
 	CHAs          int // class-hierarchy call graph builds
@@ -113,15 +113,16 @@ func InStore(st *Store) Option { return func(c *config) { c.store = st } }
 // WithIncremental turns on the session's keyed derivation graph: the
 // IR artifact is assembled from per-method lowering units addressed by
 // depgraph unit keys (so an edit re-lowers only its transitively
-// affected frontier), and the pointer analysis and dependence graph
-// retain enough state after each complete build to re-derive the next
-// revision incrementally (pointsto.SolveDelta, sdg.BuildDelta) — both
-// proven byte-identical to from-scratch builds. Retention costs memory
-// proportional to the last build, so it is opt-in; thinslice watch and
-// the server's /watch stream open their sessions with it. Incremental
-// re-derivation engages only for unbudgeted sessions (a truncated delta
-// would poison every later one); budgeted sessions fall back to full
-// builds.
+// affected frontier), and the dependence graph retains its per-method
+// templates after each complete build so the next revision re-derives
+// only the changed methods' templates (sdg.BuildDelta), byte-identical
+// to a from-scratch build. Points-to is solved from scratch on every
+// revision, as in any other session. Retention costs memory
+// proportional to the last graph, so it is opt-in; thinslice watch and
+// the server's /watch stream open their sessions with it. Template
+// reuse engages only for unbudgeted sessions (a truncated graph would
+// poison every later one); budgeted sessions build every graph from
+// no templates.
 func WithIncremental() Option { return func(c *config) { c.incremental = true } }
 
 // WithDiskCache layers a persistent disk tier under the in-memory
@@ -164,47 +165,36 @@ type Session struct {
 		srcs  map[string]string
 		key   Key
 	}
-	// last is the retained state of the most recent complete build of an
-	// incremental session; nil otherwise. Guarded by mu; the artifacts it
-	// points at are immutable.
-	last *retained
+	// last is the retained state of the most recent complete graph build
+	// of an incremental session; zero otherwise. Guarded by mu; the
+	// artifacts it points at are immutable.
+	last retained
 }
 
 // retained is what an incremental session keeps from its last complete
-// build to derive the next revision by delta. The points-to triplet
-// (depg, prog, pts) is updated atomically — SolveDelta maps the
-// retained solver state through a ProgramMap between exactly these two
-// programs. The SDG templates are base-relative and program-independent,
-// so they carry their own revision marker (sdgDepg) and may lag the
-// points-to state when Graph() is queried less often than PointsTo().
+// dependence graph build: the per-method SDG templates and the depgraph
+// of the revision they were built for, so the next build knows which
+// methods changed since. The templates are base-relative and
+// program-independent, so they may lag several revisions when Graph()
+// is queried less often than the source set changes.
 type retained struct {
-	depg    *depgraph.Graph
-	prog    *ir.Program
-	pts     *pointsto.Result
 	sdgSt   *sdg.BuildState
 	sdgDepg *depgraph.Graph
 }
 
-// retainedState returns a copy of the retained-state record (zero value
-// when nothing is retained).
+// retainedState returns the retained-state record (zero when nothing
+// is retained).
 func (s *Session) retainedState() retained {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.last == nil {
-		return retained{}
-	}
-	return *s.last
+	return s.last
 }
 
-// updateRetained applies f to the retained-state record, creating it on
-// first use.
-func (s *Session) updateRetained(f func(*retained)) {
+// retain replaces the retained-state record.
+func (s *Session) retain(r retained) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.last == nil {
-		s.last = &retained{}
-	}
-	f(s.last)
+	s.last = r
 }
 
 // Open starts a session over the given sources (name → content). The
@@ -707,76 +697,31 @@ func (s *Session) ptsKey() Key {
 		strings.Join(s.cfg.entries, "\x00"))
 }
 
-// deltaCapable reports whether this session may use the incremental
-// re-derivation paths: opted in, and unbudgeted (a budgeted delta could
-// truncate, and a truncated artifact must never seed the next delta).
+// deltaCapable reports whether this session may build its dependence
+// graph off retained SDG templates: opted in, and unbudgeted (a budgeted
+// build could truncate, and a truncated graph must never seed the next
+// one).
 func (s *Session) deltaCapable() bool {
 	return s.cfg.incremental && s.cfg.budget == nil
 }
 
 // ptsConfig is the pointer-analysis configuration of this session over
-// the given resolved entries. Incremental sessions retain solver state
-// so the next revision can re-seed the difference-propagation worklist
-// instead of re-solving.
+// the given resolved entries.
 func (s *Session) ptsConfig(entries []*ir.Method) pointsto.Config {
 	return pointsto.Config{
 		Entries:           entries,
 		ObjSensContainers: s.cfg.objSens,
 		ContainerClasses:  s.cfg.containers,
 		Budget:            s.cfg.budget,
-		RetainState:       s.deltaCapable(),
 	}
-}
-
-// trySolveDelta attempts the incremental pointer re-solve against the
-// session's retained state. Any structural obstacle — no retained
-// state, an unmappable program pair, or a SolveDelta safety-net error —
-// reports nil and the caller runs the full analysis.
-func (s *Session) trySolveDelta(prog *ir.Program, depg *depgraph.Graph, entries []*ir.Method) *pointsto.Result {
-	last := s.retainedState()
-	if last.pts == nil || last.prog == nil || last.depg == nil {
-		return nil
-	}
-	d := depgraph.Diff(last.depg, depg)
-	removed := append(append([]string(nil), d.Changed...), d.Removed...)
-	added := append(append([]string(nil), d.Changed...), d.Added...)
-	gone := make(map[string]bool, len(removed))
-	for _, q := range removed {
-		gone[q] = true
-	}
-	var unchanged []string
-	for _, m := range last.prog.Methods {
-		if q := m.Sig.QualifiedName(); !gone[q] {
-			unchanged = append(unchanged, q)
-		}
-	}
-	pm, err := ir.MapPrograms(last.prog, prog, unchanged)
-	if err != nil {
-		return nil
-	}
-	res, _, err := pointsto.SolveDelta(last.pts, prog, pm, removed, added, s.ptsConfig(entries))
-	if err != nil {
-		return nil
-	}
-	s.count(func(st *Stats) { st.DeltaSolves++ })
-	return res
 }
 
 // PointsTo returns the pointer-analysis result. Truncated or
 // downgraded results (budget exhaustion) are returned but not cached.
-// Incremental sessions re-derive the result from the previous build's
-// retained solver state when the edit frontier allows, falling back to
-// the full analysis on any delta error.
 func (s *Session) PointsTo() (*pointsto.Result, error) {
 	prog, err := s.Prog()
 	if err != nil {
 		return nil, err
-	}
-	var depg *depgraph.Graph
-	if s.cfg.incremental {
-		if depg, err = s.Depgraph(); err != nil {
-			return nil, err
-		}
 	}
 	return lookup(s, artifact[*pointsto.Result]{
 		phase:   budget.PhasePointsTo,
@@ -790,21 +735,8 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var res *pointsto.Result
-			if s.deltaCapable() {
-				res = s.trySolveDelta(prog, depg, entries)
-			}
-			if res == nil {
-				s.count(func(st *Stats) { st.PointsTos++ })
-				if res, err = pointsto.Analyze(prog, s.ptsConfig(entries)); err != nil {
-					return nil, err
-				}
-			}
-			// Unbudgeted, so complete: safe to seed the next delta.
-			if s.deltaCapable() {
-				s.updateRetained(func(r *retained) { r.depg, r.prog, r.pts = depg, prog, res })
-			}
-			return res, nil
+			s.count(func(st *Stats) { st.PointsTos++ })
+			return pointsto.Analyze(prog, s.ptsConfig(entries))
 		},
 	})
 }
@@ -860,7 +792,7 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 			}
 			// Unbudgeted, so complete: safe to seed the next delta.
 			if s.deltaCapable() {
-				s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
+				s.retain(retained{sdgSt: st, sdgDepg: depg})
 			}
 			return graph, nil
 		},

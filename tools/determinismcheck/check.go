@@ -43,18 +43,21 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: range over map in %s (reachable from %s)", f.Pos, f.Func, f.Seed)
 }
 
-// seedFunc reports whether name is a determinism-critical entry point.
-// Besides the codec/printer family, the incremental delta entry
-// points are seeds: their outputs are contractually byte-identical to
-// the full builds they replace (depgraph unit keys and diffs, unit
-// re-lowering, delta points-to solves, the SDG builder), so a
-// map-order dependence anywhere beneath them breaks the equivalence
-// oracle, not just a log line.
-func seedFunc(name string) bool {
+// seedFunc reports whether fn is a determinism-critical entry point.
+// Besides the codec/printer family, the incremental entry points are
+// seeds: their outputs are contractually byte-identical to the full
+// builds they replace (depgraph unit keys and diffs, unit re-lowering,
+// the SDG builder), so a map-order dependence anywhere beneath them
+// breaks the equivalence oracle, not just a log line. The points-to
+// solver is a seed too, since the byte-identity oracles pin the result
+// it canonicalizes; it is matched by full name because a bare
+// "Analyze" would also seed analyzer.Analyze and everything it calls.
+func seedFunc(fn *types.Func) bool {
+	name := fn.Name()
 	return name == "Fingerprint" || name == "Sprint" || name == "Fprint" ||
 		strings.HasPrefix(name, "Encode") ||
-		name == "Diff" || name == "LowerUnits" ||
-		name == "SolveDelta" || name == "BuildDelta"
+		name == "Diff" || name == "LowerUnits" || name == "BuildDelta" ||
+		fn.FullName() == "thinslice/internal/analysis/pointsto.Analyze"
 }
 
 // checker loads and type-checks every package of one module from
@@ -235,7 +238,7 @@ func Check(root, module string) ([]Finding, error) {
 	}
 	var seedNames []*types.Func
 	for fn := range funcs {
-		if seedFunc(fn.Name()) {
+		if seedFunc(fn) {
 			seedNames = append(seedNames, fn)
 		}
 	}
