@@ -57,7 +57,6 @@ import (
 	"thinslice/internal/analyzer"
 	"thinslice/internal/budget"
 	"thinslice/internal/checkers"
-	"thinslice/internal/cluster"
 	"thinslice/internal/core"
 	"thinslice/internal/core/expand"
 	"thinslice/internal/csslice"
@@ -280,9 +279,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cache-dir", "", "persistent artifact cache directory; artifacts survive restarts (empty = memory only)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "disk cache size cap in bytes (0 = 256 MiB)")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof")
-	clusterPath := fs.String("cluster", "", "cluster topology JSON; shards programs across replicas (requires -self and -cache-dir)")
-	self := fs.String("self", "", "this replica's name in the -cluster topology")
-	hedgeAfter := fs.Duration("hedge-after", 0, "latency threshold before a forwarded request is hedged to a fallback owner (0 = 75ms)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: thinslice serve [flags]")
 		fs.PrintDefaults()
@@ -293,20 +289,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "thinslice serve: unexpected arguments; programs are posted to /slice")
 		return exitUsage
-	}
-	if *clusterPath == "" && *self != "" {
-		fmt.Fprintln(stderr, "thinslice serve: -self is only meaningful with -cluster")
-		return exitUsage
-	}
-	if *clusterPath != "" {
-		if *self == "" {
-			fmt.Fprintln(stderr, "thinslice serve: -cluster requires -self (this replica's name in the topology)")
-			return exitUsage
-		}
-		if *cacheDir == "" {
-			fmt.Fprintln(stderr, "thinslice serve: -cluster requires -cache-dir (peer fetch and handoff serve from the disk tier)")
-			return exitUsage
-		}
 	}
 
 	srv, err := server.New(server.Config{
@@ -331,45 +313,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-
-	if *clusterPath != "" {
-		topo, err := cluster.LoadTopology(*clusterPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		node, err := cluster.New(srv, cluster.Config{Self: *self, Topology: topo, HedgeAfter: *hedgeAfter})
-		if err != nil {
-			return fail(stderr, err)
-		}
-		// Bind the advertised topology address unless -addr was given
-		// explicitly (e.g. ":8081" to listen on every interface while
-		// peers dial the advertised host:port).
-		listenAddr := *addr
-		addrExplicit := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "addr" {
-				addrExplicit = true
-			}
-		})
-		if !addrExplicit {
-			for _, m := range topo.Replicas {
-				if m.Name == *self {
-					listenAddr = m.Addr
-				}
-			}
-		}
-		ln, err := net.Listen("tcp", listenAddr)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "thinslice: replica %s serving on %s (%d-member cluster, replication %d)\n",
-			*self, ln.Addr(), len(topo.Replicas), topo.Replication)
-		if err := node.Run(ctx, ln, *drain); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintln(stdout, "thinslice: drained, bye")
-		return exitOK
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

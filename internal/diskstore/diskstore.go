@@ -232,11 +232,11 @@ func (c *Cache) Keys() []string {
 }
 
 // GetRecord returns the raw, verified container record stored under
-// key along with its kind — the exact bytes a peer can re-verify
-// end-to-end (cluster artifact fetch and warm handoff use this).
-// Corrupt records are quarantined and reported as a miss, like Get.
-// The read does not bump the LRU clock and is not counted as a hit:
-// a drain handoff sweeping every entry must not distort access stats.
+// key along with its kind, for callers that inspect a cache by key
+// without knowing each record's kind (the benchmark's restart probe,
+// tests). Corrupt records are quarantined and reported as a miss, like
+// Get. The read does not bump the LRU clock and is not counted as a
+// hit: a sweep over every entry must not distort access stats.
 func (c *Cache) GetRecord(key string) (data []byte, kind string, ok bool) {
 	path := c.objectPath(key)
 	c.mu.Lock()

@@ -439,8 +439,8 @@ func TestGetRecordRoundTripsContainer(t *testing.T) {
 	if !ok || kind != "sdg" {
 		t.Fatalf("GetRecord ok=%v kind=%q", ok, kind)
 	}
-	// The record is the full verified container: a peer can Decode it
-	// end-to-end and recover the payload byte-for-byte.
+	// The record is the full verified container: Decode recovers the
+	// payload byte-for-byte.
 	got, err := artifact.Decode(rec, "sdg", testKey(7))
 	if err != nil {
 		t.Fatal(err)

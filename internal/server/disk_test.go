@@ -298,12 +298,6 @@ func jsonKeys(prefix string, v any) []string {
 func TestStatszSchemaGolden(t *testing.T) {
 	cfg := diskConfig(t)
 	srv := mustNew(t, cfg)
-	// Register a cluster stats provider so the golden pins the cluster
-	// section's key names too (absent entirely on non-cluster servers,
-	// which the non-cluster goldens elsewhere already cover).
-	srv.SetClusterStats(func() ClusterStats {
-		return ClusterStats{Self: "a", Members: 3}
-	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if code, _ := rawPost(t, ts.URL, "/slice", sliceReq()); code != http.StatusOK {
@@ -324,21 +318,6 @@ func TestStatszSchemaGolden(t *testing.T) {
 		"breaker.open",
 		"breaker.open_circuits",
 		"breaker.tracked_programs",
-		"cluster.forward_errors",
-		"cluster.forwards",
-		"cluster.handoff_rejects",
-		"cluster.handoffs_received",
-		"cluster.handoffs_sent",
-		"cluster.hedges",
-		"cluster.local_fallbacks",
-		"cluster.members",
-		"cluster.peer_fetch_corrupt",
-		"cluster.peer_fetch_hits",
-		"cluster.peer_fetch_misses",
-		"cluster.peers_degraded",
-		"cluster.peers_down",
-		"cluster.peers_up",
-		"cluster.self",
 		"disk.bytes",
 		"disk.entries",
 		"disk.evicted_bytes",

@@ -45,9 +45,6 @@ type serveBenchReport struct {
 	Note       string          `json:"note"`
 	Rows       []serveBenchRow `json:"rows"`
 	ColdStart  []coldStartRow  `json:"cold_start"`
-	// Cluster is recorded by the cluster package's bench test; carried
-	// through verbatim so the two recorders can run in either order.
-	Cluster json.RawMessage `json:"cluster,omitempty"`
 }
 
 // TestRecordServeBenchmarks measures warm-cache request latency and
@@ -169,12 +166,6 @@ func TestRecordServeBenchmarks(t *testing.T) {
 	report.ColdStart = []coldStartRow{
 		{Scenario: "empty_cache", Trials: trials, MeanFirstRequestUS: float64(emptySum) / trials / float64(time.Microsecond)},
 		{Scenario: "disk_warm", Trials: trials, MeanFirstRequestUS: float64(warmSum) / trials / float64(time.Microsecond)},
-	}
-	if old, err := os.ReadFile("../../BENCH_serve.json"); err == nil {
-		var prev serveBenchReport
-		if json.Unmarshal(old, &prev) == nil {
-			report.Cluster = prev.Cluster
-		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

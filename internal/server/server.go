@@ -71,8 +71,9 @@ type Config struct {
 	MaxSteps int64
 	// MaxRequestBytes bounds the request body (default 4 MiB).
 	MaxRequestBytes int64
-	// StoreEntries/StoreBytes cap the shared artifact store (defaults
-	// 256 entries / 256 MiB estimated; 0 = unlimited).
+	// StoreEntries/StoreBytes cap the shared artifact store (0 selects
+	// the defaults, 256 entries / 256 MiB estimated; a negative value
+	// means no cap).
 	StoreEntries int
 	StoreBytes   int64
 	// BreakerFailures consecutive failures open a program's circuit
@@ -218,40 +219,6 @@ type Stats struct {
 	Queued   int              `json:"queued"`
 	Requests RequestStats     `json:"requests"`
 	Draining bool             `json:"draining"`
-	// Cluster is present only when the server fronts a cluster node
-	// (cluster.New registers the provider via SetClusterStats).
-	Cluster *ClusterStats `json:"cluster,omitempty"`
-}
-
-// ClusterStats is the cluster node's /statsz section: peer health by
-// typed state plus the routing, hedging, peer-fetch, and handoff
-// counters. The type lives here (not in package cluster) so the
-// /statsz schema stays defined in one place; package cluster imports
-// server, never the reverse.
-type ClusterStats struct {
-	Self          string `json:"self"`
-	Members       int    `json:"members"`
-	PeersUp       int    `json:"peers_up"`
-	PeersDegraded int    `json:"peers_degraded"`
-	PeersDown     int    `json:"peers_down"`
-	// Forwards counts requests routed to a remote owner; Hedges the
-	// secondary attempts launched after the latency threshold;
-	// LocalFallbacks requests answered locally after every candidate
-	// peer failed (the never-a-5xx degradation path).
-	Forwards       int64 `json:"forwards"`
-	ForwardErrors  int64 `json:"forward_errors"`
-	Hedges         int64 `json:"hedges"`
-	LocalFallbacks int64 `json:"local_fallbacks"`
-	// Peer artifact fetch outcomes; corrupt counts records that failed
-	// container verification and were discarded before any decode.
-	PeerFetchHits    int64 `json:"peer_fetch_hits"`
-	PeerFetchMisses  int64 `json:"peer_fetch_misses"`
-	PeerFetchCorrupt int64 `json:"peer_fetch_corrupt"`
-	// Handoff artifact counts: sent while draining, received from a
-	// draining peer, rejected because the record failed verification.
-	HandoffsSent     int64 `json:"handoffs_sent"`
-	HandoffsReceived int64 `json:"handoffs_received"`
-	HandoffRejects   int64 `json:"handoff_rejects"`
 }
 
 // BreakerStats summarizes circuit-breaker state: how many programs
@@ -308,11 +275,6 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 	metrics  metrics
-
-	// Cluster integration points, set once by cluster.New before the
-	// server starts serving (atomics so /statsz reads race-free).
-	clusterStats atomic.Pointer[func() ClusterStats]
-	remoteFetch  atomic.Pointer[session.RemoteFetch]
 }
 
 // New builds a Server, filling config defaults. It fails only when a
@@ -379,32 +341,10 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// DiskCache returns the persistent artifact cache, or nil when the
-// server runs memory-only. The cluster layer serves peer artifact
-// fetches and drain handoffs from it.
-func (s *Server) DiskCache() *diskstore.Cache { return s.disk }
-
-// RequestByteLimit reports the configured request body bound, so the
-// cluster routing layer can buffer bodies under the same limit.
-func (s *Server) RequestByteLimit() int64 { return s.cfg.MaxRequestBytes }
-
-// SetClusterStats registers the provider for the /statsz cluster
-// section. Call before serving.
-func (s *Server) SetClusterStats(f func() ClusterStats) {
-	s.clusterStats.Store(&f)
-}
-
-// SetRemoteFetch layers a remote artifact tier (peer fetch) under the
-// disk tier of every session the server opens. Call before serving.
-func (s *Server) SetRemoteFetch(f session.RemoteFetch) {
-	s.remoteFetch.Store(&f)
-}
-
-// StartDrain flips the server into draining mode: analysis and watch
+// startDrain flips the server into draining mode: analysis and watch
 // endpoints answer 503 draining, /readyz fails. Run calls it on
-// context cancellation; the cluster node calls it before streaming its
-// warm artifacts away.
-func (s *Server) StartDrain() { s.draining.Store(true) }
+// context cancellation.
+func (s *Server) startDrain() { s.draining.Store(true) }
 
 // Stats snapshots the server's observable state.
 func (s *Server) Stats() Stats {
@@ -429,10 +369,6 @@ func (s *Server) Stats() Stats {
 		ds := s.disk.Stats()
 		st.Disk = &ds
 	}
-	if f := s.clusterStats.Load(); f != nil {
-		cs := (*f)()
-		st.Cluster = &cs
-	}
 	return st
 }
 
@@ -447,7 +383,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener, drainTimeout time.Dur
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
-		s.StartDrain()
+		s.startDrain()
 		sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		err := hs.Shutdown(sctx)
@@ -596,9 +532,6 @@ func (s *Server) openSession(req *Request, bud *budget.Budget) *session.Session 
 	}
 	if s.disk != nil {
 		opts = append(opts, session.WithDiskCache(s.disk))
-	}
-	if f := s.remoteFetch.Load(); f != nil {
-		opts = append(opts, session.WithRemoteFetch(*f))
 	}
 	return session.Open(req.Sources, opts...)
 }

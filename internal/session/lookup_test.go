@@ -109,33 +109,50 @@ func TestDegradedDerivativesNotPublished(t *testing.T) {
 	}
 }
 
-// garbagePeer returns a fetcher serving an undecodable payload for
-// every record of one kind and missing on all others.
-func garbagePeer(kind string) session.RemoteFetch {
-	return func(k string, _ session.Key) []byte {
-		if k != kind {
-			return nil
-		}
-		return []byte("not a " + kind + " payload")
-	}
-}
-
-// TestUnitRecordsQuarantined: a peer serving garbage unit records costs
-// re-lowering those units, never incremental lowering itself. Each bad
-// record is quarantined, the units are lowered and published, and the
-// next one-method edit reuses every other unit.
-func TestUnitRecordsQuarantined(t *testing.T) {
+// garbageDisk returns a disk tier filled by a session over srcs, with
+// every record of kind replaced by a valid container around an
+// undecodable payload and every other record removed.
+func garbageDisk(t *testing.T, srcs map[string]string, kind string) *diskstore.Cache {
+	t.Helper()
 	disk, err := diskstore.Open(t.TempDir(), 1<<24)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tieredOutputs(t, session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk)))
+	planted := 0
+	for _, key := range disk.Keys() {
+		_, k, ok := disk.GetRecord(key)
+		switch {
+		case !ok:
+			t.Fatalf("record %s unreadable", key)
+		case k == kind:
+			if err := disk.Put(kind, key, []byte("not a "+kind+" payload")); err != nil {
+				t.Fatal(err)
+			}
+			planted++
+		default:
+			disk.Quarantine(k, key, "not under test")
+		}
+	}
+	if planted == 0 {
+		t.Fatalf("no %s records to overwrite", kind)
+	}
+	return disk
+}
+
+// TestUnitRecordsQuarantined: garbage unit records on disk cost
+// re-lowering those units, never incremental lowering itself. Each bad
+// record is quarantined, the units are lowered and published, and the
+// next one-method edit reuses every other unit.
+func TestUnitRecordsQuarantined(t *testing.T) {
 	srcs := incSources()
-	s := session.Open(srcs, session.WithIncremental(),
-		session.WithDiskCache(disk), session.WithRemoteFetch(garbagePeer("unit")))
+	disk := garbageDisk(t, srcs, "unit")
+	before := disk.Stats().Quarantines
+	s := session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk))
 	if _, err := s.Graph(); err != nil {
 		t.Fatal(err)
 	}
-	if disk.Stats().Quarantines == 0 {
+	if disk.Stats().Quarantines == before {
 		t.Fatal("garbage unit records were not quarantined")
 	}
 	depg, err := s.Depgraph()
@@ -195,27 +212,24 @@ func tieredOutputs(t *testing.T, s *session.Session) map[string][]byte {
 	return out
 }
 
-// TestPeerGarbageQuarantinedForEveryKind: for each disk record kind, a
-// peer serving garbage for exactly that kind costs a rebuild, never a
-// wrong answer. The bad record is quarantined, and the rebuild leaves
-// the disk tier warm enough that the next session builds nothing.
-func TestPeerGarbageQuarantinedForEveryKind(t *testing.T) {
+// TestGarbageRecordsQuarantinedForEveryKind: for each disk record kind,
+// garbage records of exactly that kind cost a rebuild, never a wrong
+// answer. The bad records are quarantined, and the rebuild leaves the
+// disk tier warm enough that the next session builds nothing.
+func TestGarbageRecordsQuarantinedForEveryKind(t *testing.T) {
 	want := tieredOutputs(t, session.Open(taintSources()))
 	for _, kind := range []string{"depg", "unit", "ir", "pts", "sdg", "cha", "modref", "df"} {
 		t.Run(kind, func(t *testing.T) {
-			disk, err := diskstore.Open(t.TempDir(), 1<<24)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := session.Open(taintSources(), session.WithIncremental(),
-				session.WithDiskCache(disk), session.WithRemoteFetch(garbagePeer(kind)))
+			disk := garbageDisk(t, taintSources(), kind)
+			before := disk.Stats().Quarantines
+			s := session.Open(taintSources(), session.WithIncremental(), session.WithDiskCache(disk))
 			got := tieredOutputs(t, s)
 			for k := range want {
 				if !bytes.Equal(got[k], want[k]) {
-					t.Errorf("%s differs from a cold build under a garbage %s peer", k, kind)
+					t.Errorf("%s differs from a cold build over garbage %s records", k, kind)
 				}
 			}
-			if disk.Stats().Quarantines == 0 {
+			if disk.Stats().Quarantines == before {
 				t.Errorf("garbage %s records were not quarantined", kind)
 			}
 

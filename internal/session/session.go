@@ -10,12 +10,12 @@
 // downstream of it.
 //
 // Every artifact is reached through one tier chain, lookup: the
-// in-memory store, then the disk tier (WithDiskCache) and a peer
-// (WithRemoteFetch), where a record that fails to decode is quarantined,
-// then a build. An artifact inherits the completeness of its inputs:
-// only a complete value built from complete inputs is cached or
-// published, so a budget-truncated or degraded result, and everything
-// derived from it, reaches only the caller that asked for it.
+// in-memory store, then the disk tier (WithDiskCache), where a record
+// that fails to decode is quarantined, then a build. An artifact
+// inherits the completeness of its inputs: only a complete value built
+// from complete inputs is cached or published, so a budget-truncated or
+// degraded result, and everything derived from it, reaches only the
+// caller that asked for it.
 //
 // Package analyzer re-exports this package's options and wraps a
 // session in its one-shot Analyze.
@@ -75,7 +75,6 @@ type config struct {
 	budget      *budget.Budget
 	store       *Store
 	disk        *diskstore.Cache
-	remote      RemoteFetch
 	incremental bool
 }
 
@@ -131,22 +130,6 @@ func WithIncremental() Option { return func(c *config) { c.incremental = true } 
 // disk entry that fails verification or decoding is quarantined and the
 // artifact rebuilt — disk corruption never surfaces as a session error.
 func WithDiskCache(c *diskstore.Cache) Option { return func(cfg *config) { cfg.disk = c } }
-
-// RemoteFetch retrieves an already-verified artifact payload for
-// (kind, key) from somewhere else — in practice another cluster
-// replica's disk tier — or nil on a miss. Implementations must verify
-// integrity (the cluster fetcher checks the container CRC) before
-// returning bytes; the session still treats the payload as untrusted
-// and quarantines it if structural decoding fails, so a byzantine
-// source can cause a rebuild but never a wrong answer.
-type RemoteFetch func(kind string, key Key) []byte
-
-// WithRemoteFetch layers a remote tier under the disk tier: on a store
-// and disk miss the session asks the fetcher before rebuilding, and a
-// fetched payload is published to the local disk tier (when present)
-// so the next miss is local. Fetch failures of any kind degrade to a
-// normal cold build.
-func WithRemoteFetch(f RemoteFetch) Option { return func(cfg *config) { cfg.remote = f } }
 
 // Session is a stateful analysis over one evolving source set. All
 // accessors are safe for concurrent use; artifacts are immutable.
@@ -387,14 +370,13 @@ func parsedPrelude() ([]*ast.ClassDecl, bool, error) {
 
 // artifact describes one session artifact to lookup: the phase that
 // builds it, its store key, its disk record kind, how to build it, and
-// how it crosses the disk and peer tiers. Completeness is inherited: a
-// value is cached and published only when it is complete and every
-// input it was derived from is complete.
+// how it crosses the disk tier. Completeness is inherited: a value is
+// cached and published only when it is complete and every input it was
+// derived from is complete.
 type artifact[T any] struct {
 	phase budget.Phase
 	key   Key
-	// kind names the disk and peer record; "" keeps the artifact in
-	// memory only.
+	// kind names the disk record; "" keeps the artifact in memory only.
 	kind   string
 	decode func([]byte) (T, error)
 	encode func(T) ([]byte, error)
@@ -409,11 +391,11 @@ type artifact[T any] struct {
 }
 
 // lookup returns a's value through the session's tier chain: the
-// in-memory store, then the disk tier and the peer (a record that fails
-// to decode is quarantined), then build. Only a complete value built
-// from complete inputs is cached and published; anything else reaches
-// this caller alone. The phase boundary (budget check, hook, panic
-// recovery) wraps the whole chain once per call.
+// in-memory store, then the disk tier (a record that fails to decode is
+// quarantined), then build. Only a complete value built from complete
+// inputs is cached and published; anything else reaches this caller
+// alone. The phase boundary (budget check, hook, panic recovery) wraps
+// the whole chain once per call.
 func lookup[T any](s *Session, a artifact[T]) (T, error) {
 	var val T
 	err := s.phase(a.phase, func() error {
@@ -441,33 +423,21 @@ func lookup[T any](s *Session, a artifact[T]) (T, error) {
 	return val, err
 }
 
-// fetch reads a's record from the disk tier, then from the peer, and
-// decodes it. A peer payload is published to the local disk first, so a
-// payload that then fails to decode is quarantined like a corrupt local
-// record and the rebuild re-publishes clean bytes: a byzantine source
-// can cause a rebuild but never a wrong answer.
+// fetch reads a's record from the disk tier and decodes it. A record
+// that fails to decode is quarantined, so the rebuild re-publishes clean
+// bytes: a corrupt record can cause a rebuild but never a wrong answer.
 func (a artifact[T]) fetch(s *Session) (T, bool) {
 	var zero T
-	if a.kind == "" {
+	if a.kind == "" || s.cfg.disk == nil {
 		return zero, false
 	}
-	var payload []byte
-	if s.cfg.disk != nil {
-		payload, _ = s.cfg.disk.Get(a.kind, string(a.key))
-	}
-	if payload == nil && s.cfg.remote != nil {
-		if payload = s.cfg.remote(a.kind, a.key); payload != nil && s.cfg.disk != nil {
-			_ = s.cfg.disk.Put(a.kind, string(a.key), payload)
-		}
-	}
-	if payload == nil {
+	payload, ok := s.cfg.disk.Get(a.kind, string(a.key))
+	if !ok {
 		return zero, false
 	}
 	v, err := a.decode(payload)
 	if err != nil {
-		if s.cfg.disk != nil {
-			s.cfg.disk.Quarantine(a.kind, string(a.key), err.Error())
-		}
+		s.cfg.disk.Quarantine(a.kind, string(a.key), err.Error())
 		return zero, false
 	}
 	return v, true
@@ -591,10 +561,10 @@ func unitArtifact(info *types.Info, u depgraph.Unit) artifact[[]byte] {
 }
 
 // lowerViaUnits assembles the program from per-method units: payloads
-// found in the store or fetched through the disk and peer tiers are
-// cloned, every other unit (the dirty frontier after an edit, all of
-// them on a cold build) is lowered fresh, and the fresh units are
-// encoded and published back to the store and disk tier. The result is
+// found in the store or fetched from the disk tier are cloned, every
+// other unit (the dirty frontier after an edit, all of them on a cold
+// build) is lowered fresh, and the fresh units are encoded and
+// published back to the store and disk tier. The result is
 // byte-identical to ir.Lower; nil means a unit failed to relink.
 func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) *ir.Program {
 	reuse := make(map[string][]byte, len(depg.Units))
