@@ -331,7 +331,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 // -cache-dir`.
 //
 //	thinslice cache fsck [-repair] -dir DIR   verify every entry
-//	thinslice cache gc -dir DIR               drop quarantine/tmp, re-apply budget
+//	thinslice cache gc -dir DIR               drop quarantine/tmp, empty quarantine.log, re-apply budget
 //
 // fsck exits 0 when every entry verifies and 1 when any is corrupt.
 func runCache(args []string, stdout, stderr io.Writer) int {

@@ -21,16 +21,12 @@ import (
 // progRegs returns the canonical program-wide register enumeration:
 // methods in program order, ir.MethodRegs within each. Encoder and
 // decoder derive identical tables from identical programs.
-func progRegs(prog *ir.Program) ([]*ir.Reg, map[*ir.Reg]int) {
+func progRegs(prog *ir.Program) []*ir.Reg {
 	var regs []*ir.Reg
-	idx := make(map[*ir.Reg]int)
 	for _, m := range prog.Methods {
-		for _, r := range ir.MethodRegs(m) {
-			idx[r] = len(regs)
-			regs = append(regs, r)
-		}
+		regs = append(regs, ir.MethodRegs(m)...)
 	}
-	return regs, idx
+	return regs
 }
 
 func methodsByQName(prog *ir.Program) map[string]*ir.Method {
@@ -48,7 +44,11 @@ func EncodeResult(r *Result) ([]byte, error) {
 	if r.Truncated || r.LimitErr != nil {
 		return nil, fmt.Errorf("pointsto: refusing to encode a truncated result")
 	}
-	_, regIdx := progRegs(r.prog)
+	regs := progRegs(r.prog)
+	regIdx := make(map[*ir.Reg]int, len(regs))
+	for i, reg := range regs {
+		regIdx[reg] = i
+	}
 
 	var w artifact.Writer
 	w.Bool(r.Downgraded)
@@ -206,7 +206,7 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("pointsto: decode: malformed payload: %v", rec)
 		}
 	}()
-	regs, _ := progRegs(prog)
+	regs := progRegs(prog)
 	byName := methodsByQName(prog)
 	method := func(qname string) (*ir.Method, error) {
 		if m, ok := byName[qname]; ok {
@@ -216,15 +216,9 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 	}
 
 	r := artifact.NewReader(data)
-	res = &Result{
-		prog:       prog,
-		mctxsOf:    make(map[*ir.Method][]*MCtx),
-		regNodes:   make(map[*ir.Reg][]*node),
-		varNodes:   make(map[varKey]*node),
-		callEdges:  make(map[callSiteKey][]*MCtx),
-		calleesCI:  make(map[*ir.Call]map[*ir.Method]bool),
-		reachableM: make(map[*ir.Method]bool),
-	}
+	// Each map is sized when its entry count is read, to no more
+	// entries than the bytes left could hold (presize below).
+	res = &Result{prog: prog, mctxsOf: make(map[*ir.Method][]*MCtx, len(prog.Methods))}
 	res.Downgraded = r.Bool()
 
 	nEntries := r.Len()
@@ -327,6 +321,15 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 	// register entry leaves regNodes holding a node varNodes does not).
 	var varOrder keyOrder
 	nVars := r.Len()
+	hint := presize(nVars, r, varEntryBytes)
+	res.varNodes = make(map[varKey]*node, hint)
+	res.regNodes = make(map[*ir.Reg][]*node)
+	// Entries arrive sorted by register, so each register's nodes are
+	// one run of inst; regNodes holds a capped slice of each run.
+	inst := make([]*node, 0, hint)
+	var runReg *ir.Reg
+	runStart := 0
+	var slab []node
 	for i := 0; i < nVars; i++ {
 		regI := r.Uvarint()
 		ctxID := r.Uvarint()
@@ -345,7 +348,11 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		if err != nil {
 			return nil, err
 		}
-		n := &node{}
+		if len(slab) == 0 {
+			slab = make([]node, min(nodeSlab, nVars-i))
+		}
+		n := &slab[0]
+		slab = slab[1:]
 		var idOrder keyOrder
 		for j := 0; j < nPts; j++ {
 			id := r.Uvarint()
@@ -355,11 +362,21 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 			n.pts.add(int(id))
 		}
 		res.varNodes[varKey{reg, ctx}] = n
-		res.regNodes[reg] = append(res.regNodes[reg], n)
+		if reg != runReg {
+			if runReg != nil {
+				res.regNodes[runReg] = inst[runStart:len(inst):len(inst)]
+			}
+			runReg, runStart = reg, len(inst)
+		}
+		inst = append(inst, n)
+	}
+	if runReg != nil {
+		res.regNodes[runReg] = inst[runStart:len(inst):len(inst)]
 	}
 
 	var edgeOrder keyOrder
 	nEdges := r.Len()
+	res.callEdges = make(map[callSiteKey][]*MCtx, presize(nEdges, r, edgeEntryBytes))
 	for i := 0; i < nEdges; i++ {
 		callID := r.Uvarint()
 		callerID := r.Uvarint()
@@ -394,6 +411,7 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 
 	var ciOrder keyOrder
 	nCIs := r.Len()
+	res.calleesCI = make(map[*ir.Call]map[*ir.Method]bool, presize(nCIs, r, ciEntryBytes))
 	for i := 0; i < nCIs; i++ {
 		callID := r.Uvarint()
 		nNames := r.Len()
@@ -425,6 +443,7 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 	}
 
 	nReach := r.Len()
+	res.reachableM = make(map[*ir.Method]bool, nReach)
 	prev := ""
 	for i := 0; i < nReach; i++ {
 		name := r.String()
@@ -443,6 +462,23 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// The fewest payload bytes one entry of each section can take, and the
+// number of decoded nodes allocated at once.
+const (
+	varEntryBytes  = 4 // register, context, count, one object ID
+	edgeEntryBytes = 4 // call, caller, count, one callee
+	ciEntryBytes   = 3 // call, count, one name's length
+	nodeSlab       = 256
+)
+
+// presize returns how many of n entries, each at least minBytes long,
+// the bytes r has left could hold: a map or slice sized by it grows
+// with the input actually present, not with a count a corrupt header
+// claims.
+func presize(n int, r *artifact.Reader, minBytes int) int {
+	return min(n, r.Remaining()/minBytes)
 }
 
 // keyOrder checks that a decoded sequence of (a, b) keys is strictly

@@ -2,7 +2,8 @@
 // persisted analysis artifact: low-level wire primitives (varints,
 // length-prefixed strings) plus a self-describing, versioned,
 // checksummed record container. The per-artifact codecs (ir, pointsto,
-// sdg, cha, modref) build their payloads with Writer/Reader and wrap
+// sdg, cha, modref) build their payloads with Writer/Reader (sdg reads
+// its rows with a cursor of its own, to the same varint rules) and wrap
 // them in Encode/Decode, so a schema change, a truncated file, or a
 // flipped bit is always *detected* — decoded into a typed
 // *CorruptError — and never misinterpreted as a valid artifact.
@@ -82,6 +83,10 @@ func (r *Reader) fail(format string, args ...any) {
 		r.err = fmt.Errorf(format, args...)
 	}
 }
+
+// Remaining returns the number of unread bytes, which bounds how many
+// more elements the payload can hold.
+func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
 // Finish returns an error if decoding failed or bytes remain
 // unconsumed (trailing garbage is corruption, not slack).

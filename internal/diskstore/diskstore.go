@@ -12,8 +12,9 @@
 // Self-healing read path: every Get re-verifies the record container
 // (magic, versions, kind, key, CRC-32C). Anything that fails — bit rot,
 // truncation, version skew after an upgrade, a stray file — is moved to
-// a quarantine directory, counted, and reported as a miss, so callers
-// transparently rebuild. Corruption is never served and never surfaces
+// a quarantine directory, counted, logged with its kind and the reason
+// to quarantine.log, and reported as a miss, so callers transparently
+// rebuild. Corruption is never served and never surfaces
 // as an error to a client.
 package diskstore
 
@@ -28,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"thinslice/internal/artifact"
 )
@@ -37,6 +39,7 @@ const (
 	tmpDir        = "tmp"
 	quarantineDir = "quarantine"
 	manifestName  = "manifest.json"
+	quarantineLog = "quarantine.log"
 	entryExt      = ".art"
 )
 
@@ -197,13 +200,13 @@ func (c *Cache) Get(kind, key string) ([]byte, bool) {
 	}
 	if err != nil {
 		// Unreadable entries cannot be verified; treat as corrupt.
-		c.quarantine(key, fmt.Sprintf("read: %v", err))
+		c.quarantine(kind, key, fmt.Sprintf("read: %v", err))
 		c.count(func(s *Stats) { s.Misses++ })
 		return nil, false
 	}
 	payload, err := artifact.Decode(data, kind, key)
 	if err != nil {
-		c.quarantine(key, err.Error())
+		c.quarantine(kind, key, err.Error())
 		c.count(func(s *Stats) { s.Misses++ })
 		return nil, false
 	}
@@ -250,7 +253,7 @@ func (c *Cache) GetRecord(key string) (data []byte, kind string, ok bool) {
 		data, err = applyHook(OpRead, path, data)
 	}
 	if err != nil {
-		c.quarantine(key, fmt.Sprintf("read: %v", err))
+		c.quarantine("", key, fmt.Sprintf("read: %v", err))
 		return nil, "", false
 	}
 	kind, recKey, err := artifact.Inspect(data)
@@ -258,7 +261,7 @@ func (c *Cache) GetRecord(key string) (data []byte, kind string, ok bool) {
 		if err == nil {
 			err = fmt.Errorf("record keyed %q stored under %q", recKey, key)
 		}
-		c.quarantine(key, err.Error())
+		c.quarantine(kind, key, err.Error())
 		return nil, "", false
 	}
 	return data, kind, true
@@ -363,8 +366,10 @@ func (c *Cache) evictLocked() {
 }
 
 // quarantine moves a corrupt entry out of the objects directory. The
-// file is preserved under quarantine/ for postmortem inspection.
-func (c *Cache) quarantine(key, reason string) {
+// file is preserved under quarantine/ for postmortem inspection, and
+// one line in quarantine.log names its kind ("-" where the caller does
+// not know it), its key and why it was quarantined.
+func (c *Cache) quarantine(kind, key, reason string) {
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
 		c.bytes -= e.size
@@ -379,15 +384,33 @@ func (c *Cache) quarantine(key, reason string) {
 		// read path from re-serving the corrupt bytes.
 		os.Remove(src)
 	}
+	c.logQuarantine(kind, key, reason)
 }
 
-// Quarantine removes the entry stored under key as corrupt. The
-// session layer calls this when a record's *payload* fails structural
-// decoding — the container was intact but the content was not usable.
+// logQuarantine appends one line to quarantine.log, best effort: a
+// failed write loses the line, never the quarantine. Each line is one
+// O_APPEND write, so concurrent quarantines do not interleave within a
+// line.
+func (c *Cache) logQuarantine(kind, key, reason string) {
+	if kind == "" {
+		kind = "-"
+	}
+	line := fmt.Sprintf("%s kind=%s key=%s reason=%s\n", time.Now().UTC().Format(time.RFC3339),
+		kind, key, strings.ReplaceAll(reason, "\n", " "))
+	f, err := os.OpenFile(filepath.Join(c.dir, quarantineLog), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return
+	}
+	f.WriteString(line)
+	f.Close()
+}
+
+// Quarantine removes the entry stored under key as corrupt, logging
+// kind and reason like every quarantine. The session layer calls this
+// when a record's *payload* fails structural decoding — the container
+// was intact but the content was not usable.
 func (c *Cache) Quarantine(kind, key, reason string) {
-	_ = kind
-	_ = reason
-	c.quarantine(key, reason)
+	c.quarantine(kind, key, reason)
 }
 
 // Stats returns a snapshot of the counters.
@@ -499,7 +522,7 @@ func (c *Cache) Fsck(repair bool) []FsckEntry {
 		if err != nil {
 			fe.Err = err
 			if repair {
-				c.quarantine(key, err.Error())
+				c.quarantine(fe.Kind, key, err.Error())
 			}
 		}
 		out = append(out, fe)
@@ -507,8 +530,9 @@ func (c *Cache) Fsck(repair bool) []FsckEntry {
 	return out
 }
 
-// GC removes quarantined files and stray temp files, and re-applies the
-// byte budget. It returns the number of files removed.
+// GC removes quarantined files and stray temp files, empties
+// quarantine.log, and re-applies the byte budget. It returns the number
+// of files removed.
 func (c *Cache) GC() int {
 	removed := 0
 	for _, sub := range []string{quarantineDir, tmpDir} {
@@ -523,6 +547,7 @@ func (c *Cache) GC() int {
 			}
 		}
 	}
+	os.Truncate(filepath.Join(c.dir, quarantineLog), 0)
 	c.mu.Lock()
 	before := len(c.entries)
 	c.evictLocked()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"thinslice/internal/artifact"
@@ -198,6 +199,38 @@ func TestVersionSkewQuarantined(t *testing.T) {
 	_ = c
 }
 
+// TestPastCodecVersionQuarantined: a record an older build wrote, one
+// codec version back, is version skew too. Its payload would misparse
+// under the current codecs, so it must miss and leave the cache.
+func TestPastCodecVersionQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	rec := artifact.Encode("sdg", testKey(9), []byte("older payload"))
+	rec = rec[:len(rec)-4]
+	rec[len("TSART\x00")+1]-- // codec version byte
+	sum := crc32Castagnoli(rec)
+	rec = append(rec, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+	if _, err := Open(dir, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, objectsDir, testKey(9)+entryExt), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("sdg", testKey(9)); ok {
+		t.Fatal("record of the previous codec version served")
+	}
+	if s := c.Stats(); s.Quarantines != 1 || s.Entries != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+	log, _ := os.ReadFile(filepath.Join(dir, quarantineLog))
+	if want := fmt.Sprintf("codec v%d, this build reads v%d", artifact.CodecVersion-1, artifact.CodecVersion); !strings.Contains(string(log), want) {
+		t.Fatalf("quarantine.log = %q, want the codec-version skew %q", log, want)
+	}
+}
+
 func TestCrashedTempFilesCleanedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Open(dir, 1<<20); err != nil {
@@ -378,6 +411,48 @@ func TestGC(t *testing.T) {
 	ts, _ := os.ReadDir(filepath.Join(dir, tmpDir))
 	if len(qs) != 0 || len(ts) != 0 {
 		t.Fatalf("GC left %d quarantined, %d temp files", len(qs), len(ts))
+	}
+}
+
+// TestQuarantineLog: every quarantine appends a line naming the
+// record's kind, key and reason, and GC empties the log without
+// counting it among the removed files.
+func TestQuarantineLog(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("pts", testKey(1), []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(filepath.Join(dir, objectsDir, testKey(1)+entryExt), []byte("bad"), 0o644)
+	c.Get("pts", testKey(1))
+	if err := c.Put("sdg", testKey(2), []byte("q")); err != nil {
+		t.Fatal(err)
+	}
+	c.Quarantine("sdg", testKey(2), "sdg: decode: bad row\nsecond line")
+	data, err := os.ReadFile(filepath.Join(dir, quarantineLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("log has %d lines, want 2:\n%s", len(lines), data)
+	}
+	for i, want := range []string{
+		" kind=pts key=" + testKey(1) + " reason=artifact: corrupt record (truncated)",
+		" kind=sdg key=" + testKey(2) + " reason=sdg: decode: bad row second line",
+	} {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("log line %d = %q, want it to contain %q", i, lines[i], want)
+		}
+	}
+	if n := c.GC(); n != 2 {
+		t.Fatalf("GC removed %d files, want the 2 quarantined ones", n)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, quarantineLog)); err != nil || len(data) != 0 {
+		t.Fatalf("GC left the log holding %q (err %v)", data, err)
 	}
 }
 

@@ -59,20 +59,52 @@ const (
 // the pointsto codec, which needs a program-wide register numbering)
 // derive identical tables from identical programs.
 func MethodRegs(m *Method) []*Reg {
-	var regs []*Reg
-	seen := make(map[*Reg]bool)
+	n := 0
+	for _, b := range m.Blocks {
+		n += len(b.Instrs)
+	}
+	// Lowering numbers a method's registers from 0, so a table indexed
+	// by number finds the ones already listed without hashing. Its size
+	// is bounded by the body, not by the counter a decoded payload
+	// supplies: in none of 11,930 lowered methods (every benchmark
+	// generator at scales 1–10, the paper figures, randprog seeds 0–199)
+	// does a register number reach 1.4 times the instruction count. A
+	// decoded method's numbers are whatever its payload holds, so a
+	// number past the table, or one whose slot another register holds,
+	// falls back to pointer identity and the order stays the same.
+	byNum := make([]*Reg, min(max(m.nextID, 0), 2*n))
+	var spilled map[*Reg]bool
+	regs := make([]*Reg, 0, n)
 	add := func(r *Reg) {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			regs = append(regs, r)
+		if r == nil {
+			return
+		}
+		if uint(r.Num) < uint(len(byNum)) {
+			switch byNum[r.Num] {
+			case r:
+				return
+			case nil:
+				byNum[r.Num] = r
+				regs = append(regs, r)
+				return
+			}
+		}
+		if spilled[r] {
+			return
+		}
+		if spilled == nil {
+			spilled = make(map[*Reg]bool)
+		}
+		spilled[r] = true
+		regs = append(regs, r)
+	}
+	use := func(r *Reg, _ Role) { add(r) }
+	for _, b := range m.Blocks {
+		for _, ins := range b.Instrs {
+			add(ins.Def())
+			ins.EachUse(use)
 		}
 	}
-	m.Instrs(func(ins Instr) {
-		add(ins.Def())
-		for _, u := range ins.Uses() {
-			add(u)
-		}
-	})
 	return regs
 }
 

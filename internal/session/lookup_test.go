@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"thinslice/internal/analysis/cha"
@@ -138,6 +141,41 @@ func garbageDisk(t *testing.T, srcs map[string]string, kind string) *diskstore.C
 		t.Fatalf("no %s records to overwrite", kind)
 	}
 	return disk
+}
+
+// TestQuarantineLogNamesDecodeError: a garbage sdg payload read through
+// a session leaves a quarantine.log line naming the kind, the record's
+// key and the decoder's error.
+func TestQuarantineLogNamesDecodeError(t *testing.T) {
+	srcs := taintSources()
+	disk := garbageDisk(t, srcs, "sdg")
+	keys := disk.Keys() // garbageDisk quarantined every other record
+	s := session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk))
+	if _, err := s.Graph(); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := s.Prog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := s.PointsTo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, decodeErr := sdg.DecodeGraph([]byte("not a sdg payload"), prog, pts)
+	if decodeErr == nil {
+		t.Fatal("the garbage payload decodes")
+	}
+	log, err := os.ReadFile(filepath.Join(disk.Dir(), "quarantine.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		want := " kind=sdg key=" + key + " reason=" + decodeErr.Error() + "\n"
+		if !strings.Contains(string(log), want) {
+			t.Errorf("quarantine.log has no line ending %q:\n%s", want, log)
+		}
+	}
 }
 
 // TestUnitRecordsQuarantined: garbage unit records on disk cost
