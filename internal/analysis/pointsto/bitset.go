@@ -127,6 +127,14 @@ func (b bitset) forEach(f func(int)) {
 	}
 }
 
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 func (b bitset) empty() bool {
 	for _, w := range b.words {
 		if w != 0 {

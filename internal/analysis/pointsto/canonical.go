@@ -65,40 +65,27 @@ func remapBits(b bitset, perm []int32) bitset {
 
 // canonicalize renumbers s.res in place. Object and MCtx structs keep
 // their addresses (solver maps keyed by pointer stay valid); only IDs,
-// slice orders, per-node bitsets, and the ID-keyed callEdges map
-// change. solver.linked still holds pre-canonical IDs afterwards, so
-// nothing may consult it once the solve is over.
+// slice orders, the kept sets' bits and the callee lists' order change.
+// s.rets stays indexed by pre-canonical context IDs, so nothing may
+// consult it once the solve is over.
 func (s *solver) canonicalize() {
-	// Capture the old ID → MCtx view before any IDs move: callEdges
-	// keys embed caller IDs.
-	oldMCByID := make([]*MCtx, len(s.res.mctxs))
-	for _, mc := range s.res.mctxs {
-		oldMCByID[mc.ID] = mc
-	}
-
 	// Objects: sort, build the old→new permutation, then reassign.
 	objs := s.res.objects
 	sort.Slice(objs, func(i, j int) bool { return objLess(objs[i], objs[j]) })
 	perm := make([]int32, len(objs))
+	moved := false
 	for newID, o := range objs {
 		perm[o.ID] = int32(newID)
+		moved = moved || o.ID != newID
 	}
 	for newID, o := range objs {
 		o.ID = newID
 	}
 
-	// Rewrite every live node's points-to bits through the permutation.
-	// Collapsed members have nil sets; frontiers are drained at a
-	// complete fixpoint but are remapped defensively.
-	for _, n := range s.nodes {
-		if s.parent[n.id] != n.id {
-			continue
-		}
-		if !n.pts.empty() {
-			n.pts = remapBits(n.pts, perm)
-		}
-		if !n.frontier.empty() {
-			n.frontier = remapBits(n.frontier, perm)
+	// Rewrite the kept points-to sets through the permutation.
+	if moved {
+		for i, b := range s.res.sets {
+			s.res.sets[i] = remapBits(b, perm)
 		}
 	}
 
@@ -131,14 +118,10 @@ func (s *solver) canonicalize() {
 		s.res.mctxsOf[mc.Method] = append(s.res.mctxsOf[mc.Method], mc)
 	}
 
-	// callEdges: re-key by the new caller IDs and order each callee
-	// list canonically. The per-site callee order is load-bearing for
-	// SDG edge emission, so sorting here keeps the SDG bytes a function
-	// of the program alone.
-	edges := make(map[callSiteKey][]*MCtx, len(s.res.callEdges))
-	for k, list := range s.res.callEdges { //determinism:ok map rebuild, per-key independent
+	// Order each callee list canonically. The per-site callee order is
+	// load-bearing for SDG edge emission, so sorting here keeps the SDG
+	// bytes a function of the program alone.
+	for _, list := range s.res.callees {
 		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
-		edges[callSiteKey{k.callID, oldMCByID[k.callerID].ID}] = list
 	}
-	s.res.callEdges = edges
 }

@@ -10,7 +10,9 @@ package pointsto
 // query identically to the one the solver produced.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"thinslice/internal/artifact"
@@ -18,23 +20,13 @@ import (
 	"thinslice/internal/lang/types"
 )
 
-// progRegs returns the canonical program-wide register enumeration:
-// methods in program order, ir.MethodRegs within each. Encoder and
-// decoder derive identical tables from identical programs.
-func progRegs(prog *ir.Program) []*ir.Reg {
-	var regs []*ir.Reg
-	for _, m := range prog.Methods {
-		regs = append(regs, ir.MethodRegs(m)...)
+// ctxRef is the payload's reference to a heap context: the object's ID
+// plus one, or 0 for none.
+func ctxRef(o *Object) int {
+	if o == nil {
+		return 0
 	}
-	return regs
-}
-
-func methodsByQName(prog *ir.Program) map[string]*ir.Method {
-	byName := make(map[string]*ir.Method, len(prog.Methods))
-	for _, m := range prog.Methods {
-		byName[m.Sig.QualifiedName()] = m
-	}
-	return byName
+	return o.ID + 1
 }
 
 // EncodeResult returns the persistent payload for r. Truncated results
@@ -44,12 +36,6 @@ func EncodeResult(r *Result) ([]byte, error) {
 	if r.Truncated || r.LimitErr != nil {
 		return nil, fmt.Errorf("pointsto: refusing to encode a truncated result")
 	}
-	regs := progRegs(r.prog)
-	regIdx := make(map[*ir.Reg]int, len(regs))
-	for i, reg := range regs {
-		regIdx[reg] = i
-	}
-
 	var w artifact.Writer
 	w.Bool(r.Downgraded)
 
@@ -64,11 +50,7 @@ func EncodeResult(r *Result) ([]byte, error) {
 	w.Uvarint(uint64(len(r.objects)))
 	for _, o := range r.objects {
 		w.Uvarint(uint64(o.Site.ID()))
-		if o.Ctx != nil {
-			w.Uvarint(uint64(o.Ctx.ID + 1))
-		} else {
-			w.Uvarint(0)
-		}
+		w.Uvarint(uint64(ctxRef(o.Ctx)))
 		if o.Class != nil {
 			w.String(o.Class.Name)
 		} else {
@@ -82,36 +64,30 @@ func EncodeResult(r *Result) ([]byte, error) {
 	w.Uvarint(uint64(len(r.mctxs)))
 	for _, mc := range r.mctxs {
 		w.String(mc.Method.Sig.QualifiedName())
-		if mc.Ctx != nil {
-			w.Uvarint(uint64(mc.Ctx.ID + 1))
-		} else {
-			w.Uvarint(0)
-		}
+		w.Uvarint(uint64(ctxRef(mc.Ctx)))
 	}
 
-	// Per-context points-to sets, sorted by (register, context). Empty
-	// sets are omitted: the query API cannot distinguish an empty set
-	// from an absent one.
+	// Per-context points-to sets, sorted by (register, context), where
+	// registers take their place in the program-wide enumeration:
+	// methods in program order, ir.MethodRegs within each. Empty sets
+	// are omitted: the query API cannot distinguish an empty set from an
+	// absent one.
 	type varEntry struct {
-		reg int
-		ctx int // object ID + 1, 0 for nil
-		pts []int
+		reg, ctx int
+		pts      bitset
 	}
 	var vars []varEntry
-	for k, n := range r.varNodes { //determinism:ok — sorted below
-		if n.pts.empty() {
-			continue
+	base := 0
+	for _, m := range r.prog.Methods {
+		regs := ir.MethodRegs(m)
+		for _, mc := range r.mctxsOf[m] {
+			for i, reg := range regs {
+				if pts := r.setIn(reg, mc); !pts.empty() {
+					vars = append(vars, varEntry{base + i, ctxRef(mc.Ctx), pts})
+				}
+			}
 		}
-		ri, ok := regIdx[k.reg]
-		if !ok {
-			return nil, fmt.Errorf("pointsto: register %v not in canonical enumeration", k.reg)
-		}
-		e := varEntry{reg: ri}
-		if k.ctx != nil {
-			e.ctx = k.ctx.ID + 1
-		}
-		n.pts.forEach(func(id int) { e.pts = append(e.pts, id) })
-		vars = append(vars, e)
+		base += len(regs)
 	}
 	sort.Slice(vars, func(i, j int) bool {
 		if vars[i].reg != vars[j].reg {
@@ -123,10 +99,8 @@ func EncodeResult(r *Result) ([]byte, error) {
 	for _, e := range vars {
 		w.Uvarint(uint64(e.reg))
 		w.Uvarint(uint64(e.ctx))
-		w.Uvarint(uint64(len(e.pts)))
-		for _, id := range e.pts {
-			w.Uvarint(uint64(id))
-		}
+		w.Uvarint(uint64(e.pts.count()))
+		e.pts.forEach(func(id int) { w.Uvarint(uint64(id)) })
 	}
 
 	// Call edges, sorted by (call site, caller context). The callee
@@ -137,8 +111,12 @@ func EncodeResult(r *Result) ([]byte, error) {
 		callees      []*MCtx
 	}
 	var edges []edgeEntry
-	for k, v := range r.callEdges { //determinism:ok — sorted below
-		edges = append(edges, edgeEntry{k.callID, k.callerID, v})
+	for _, mc := range r.mctxs {
+		for i, sl := range mc.slots {
+			if sl.calls != 0 {
+				edges = append(edges, edgeEntry{mc.first + i, mc.ID, r.callees[sl.calls-1]})
+			}
+		}
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].call != edges[j].call {
@@ -156,45 +134,47 @@ func EncodeResult(r *Result) ([]byte, error) {
 		}
 	}
 
-	// Context-insensitive callee sets, sorted by call site; the per-call
-	// sets are sorted by name (they are consumed through Callees, which
-	// sorts anyway).
-	type ciEntry struct {
-		call  int
-		names []string
-	}
-	var cis []ciEntry
-	for call, set := range r.calleesCI { //determinism:ok — sorted below
-		e := ciEntry{call: call.ID()}
-		for m := range set { //determinism:ok — names sorted below
-			e.names = append(e.names, m.Sig.QualifiedName())
+	// Context-insensitive callee sets, one per call with edges, sorted by
+	// call site: the names of the call's callee methods under every
+	// caller, sorted (they are consumed through Callees, which sorts
+	// anyway).
+	var ciCalls []int
+	var ciSets [][]string
+	for i, e := range edges {
+		if i == 0 || e.call != edges[i-1].call {
+			ciCalls = append(ciCalls, e.call)
+			ciSets = append(ciSets, nil)
 		}
-		sort.Strings(e.names)
-		cis = append(cis, e)
+		set := &ciSets[len(ciSets)-1]
+		for _, mc := range e.callees {
+			*set = append(*set, mc.Method.Sig.QualifiedName())
+		}
 	}
-	sort.Slice(cis, func(i, j int) bool { return cis[i].call < cis[j].call })
-	w.Uvarint(uint64(len(cis)))
-	for _, e := range cis {
-		w.Uvarint(uint64(e.call))
-		w.Uvarint(uint64(len(e.names)))
-		for _, n := range e.names {
+	w.Uvarint(uint64(len(ciCalls)))
+	for i, set := range ciSets {
+		sort.Strings(set)
+		set = slices.Compact(set)
+		w.Uvarint(uint64(ciCalls[i]))
+		w.Uvarint(uint64(len(set)))
+		for _, n := range set {
 			w.String(n)
 		}
 	}
 
 	// Reachable methods, sorted by name.
-	var reach []string
-	for m := range r.reachableM { //determinism:ok — sorted below
-		reach = append(reach, m.Sig.QualifiedName())
-	}
-	sort.Strings(reach)
+	reach := r.ReachableMethods()
 	w.Uvarint(uint64(len(reach)))
-	for _, n := range reach {
-		w.String(n)
+	for _, m := range reach {
+		w.String(m.Sig.QualifiedName())
 	}
 
 	return w.Bytes(), nil
 }
+
+// errRecovered marks a payload rejected only because decoding it
+// panicked. The decoder checks every fault it knows of before it could
+// panic, so this error means a check is missing.
+var errRecovered = errors.New("malformed payload")
 
 // DecodeResult rebuilds a Result from data against prog (the decoded
 // or freshly lowered program the record was encoded from). Any
@@ -203,21 +183,27 @@ func EncodeResult(r *Result) ([]byte, error) {
 func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			res, err = nil, fmt.Errorf("pointsto: decode: malformed payload: %v", rec)
+			res, err = nil, fmt.Errorf("pointsto: decode: %w: %v", errRecovered, rec)
 		}
 	}()
-	regs := progRegs(prog)
-	byName := methodsByQName(prog)
-	method := func(qname string) (*ir.Method, error) {
-		if m, ok := byName[qname]; ok {
-			return m, nil
+	byName := make(map[string]int, len(prog.Methods))
+	for i, m := range prog.Methods {
+		byName[m.Sig.QualifiedName()] = i
+	}
+	method := func(qname string) (int, error) {
+		if i, ok := byName[qname]; ok {
+			return i, nil
 		}
-		return nil, fmt.Errorf("pointsto: decode: unknown method %q", qname)
+		return 0, fmt.Errorf("pointsto: decode: unknown method %q", qname)
+	}
+	instr := func(id uint64) ir.Instr {
+		if id >= uint64(prog.NumInstrs) {
+			return nil
+		}
+		return prog.InstrByID(int(id))
 	}
 
 	r := artifact.NewReader(data)
-	// Each map is sized when its entry count is read, to no more
-	// entries than the bytes left could hold (presize below).
 	res = &Result{prog: prog, mctxsOf: make(map[*ir.Method][]*MCtx, len(prog.Methods))}
 	res.Downgraded = r.Bool()
 
@@ -227,7 +213,7 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		if err != nil {
 			return nil, firstErr(r.Err(), err)
 		}
-		res.entries = append(res.entries, m)
+		res.entries = append(res.entries, prog.Methods[m])
 	}
 
 	nObjs := r.Len()
@@ -242,7 +228,7 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		site := prog.InstrByID(int(siteID))
+		site := instr(siteID)
 		if site == nil {
 			return nil, fmt.Errorf("pointsto: decode: object %d has unknown site #%d", i, siteID)
 		}
@@ -263,14 +249,14 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 	// Second pass: wire heap contexts now that every object exists. An
 	// object's depth is its context's plus one, or 0 without one, which
 	// also rules out a context cycle.
-	object := func(idPlus1 uint64) (*Object, error) {
-		if idPlus1 == 0 {
+	object := func(ref uint64) (*Object, error) {
+		if ref == 0 {
 			return nil, nil
 		}
-		if idPlus1 > uint64(len(res.objects)) {
-			return nil, fmt.Errorf("pointsto: decode: object ID %d of %d", idPlus1-1, len(res.objects))
+		if ref > uint64(len(res.objects)) {
+			return nil, fmt.Errorf("pointsto: decode: object ID %d of %d", ref-1, len(res.objects))
 		}
-		return res.objects[idPlus1-1], nil
+		return res.objects[ref-1], nil
 	}
 	for i, o := range res.objects {
 		ctx, err := object(ctxIDs[i])
@@ -287,23 +273,40 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		}
 	}
 
+	// Method contexts, in the canonical order every solve leaves them
+	// in: by method position, then by context object, nil first. So
+	// each method's contexts are one run, sorted by context.
+	var mctxOrder keyOrder
+	var slots slotSlab
+	reachable := 0 // methods with contexts
 	nMCtxs := r.Len()
 	res.mctxs = make([]*MCtx, nMCtxs)
 	for i := range res.mctxs {
 		qname := r.String()
-		ctxID := r.Uvarint()
+		ref := r.Uvarint()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		m, err := method(qname)
+		mi, err := method(qname)
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := object(ctxID)
+		ctx, err := object(ref)
 		if err != nil {
 			return nil, err
 		}
+		if !mctxOrder.next(uint64(mi), ref) {
+			return nil, fmt.Errorf("pointsto: decode: method context %d is out of order", i)
+		}
+		m := prog.Methods[mi]
 		mc := &MCtx{ID: i, Method: m, Ctx: ctx}
+		if others := res.mctxsOf[m]; len(others) > 0 {
+			mc.first, mc.slots = others[0].first, slots.take(len(others[0].slots))
+		} else {
+			first, n := span(m)
+			mc.first, mc.slots = first, slots.take(n)
+			reachable++
+		}
 		res.mctxs[i] = mc
 		res.mctxsOf[m] = append(res.mctxsOf[m], mc)
 	}
@@ -316,67 +319,92 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 
 	// Everything below is accepted only in the order and shape
 	// EncodeResult writes it: keys strictly ascending, lists non-empty
-	// and strictly ascending. Anything else would decode to a Result that
-	// re-encodes differently, or whose queries disagree (a repeated
-	// register entry leaves regNodes holding a node varNodes does not).
+	// and strictly ascending, and every entry one a solve writes. Anything
+	// else would decode to a Result that re-encodes differently, or whose
+	// queries disagree with each other or with every solve.
+	//
+	// Points-to entries arrive sorted by register, and registers are
+	// numbered method by method, so one cursor walks the methods.
 	var varOrder keyOrder
+	var (
+		mi      = -1
+		regs    []*ir.Reg // registers of prog.Methods[mi]
+		regBase int       // number of regs[0]
+		ids     []int
+		words   []uint64 // slab the sets' words are carved from
+	)
 	nVars := r.Len()
-	hint := presize(nVars, r, varEntryBytes)
-	res.varNodes = make(map[varKey]*node, hint)
-	res.regNodes = make(map[*ir.Reg][]*node)
-	// Entries arrive sorted by register, so each register's nodes are
-	// one run of inst; regNodes holds a capped slice of each run.
-	inst := make([]*node, 0, hint)
-	var runReg *ir.Reg
-	runStart := 0
-	var slab []node
+	res.sets = make([]bitset, 0, presize(nVars, r, varEntryBytes))
 	for i := 0; i < nVars; i++ {
 		regI := r.Uvarint()
-		ctxID := r.Uvarint()
+		ref := r.Uvarint()
 		nPts := r.Len()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if !varOrder.next(regI, ctxID) || nPts == 0 {
+		if !varOrder.next(regI, ref) || nPts == 0 {
 			return nil, fmt.Errorf("pointsto: decode: points-to entry %d is out of order or empty", i)
 		}
-		if regI >= uint64(len(regs)) {
-			return nil, fmt.Errorf("pointsto: decode: register index %d of %d", regI, len(regs))
+		for regI-uint64(regBase) >= uint64(len(regs)) {
+			if mi+1 == len(prog.Methods) {
+				return nil, fmt.Errorf("pointsto: decode: register index %d of %d", regI, regBase+len(regs))
+			}
+			mi++
+			regBase += len(regs)
+			regs = ir.MethodRegs(prog.Methods[mi])
 		}
-		reg := regs[regI]
-		ctx, err := object(ctxID)
-		if err != nil {
-			return nil, err
+		reg := regs[regI-uint64(regBase)]
+		mcs := res.mctxsOf[prog.Methods[mi]]
+		j := sort.Search(len(mcs), func(j int) bool { return uint64(ctxRef(mcs[j].Ctx)) >= ref })
+		if j == len(mcs) || uint64(ctxRef(mcs[j].Ctx)) != ref {
+			return nil, fmt.Errorf("pointsto: decode: points-to entry %d: %s has no context for object reference %d", i, prog.Methods[mi].Name(), ref)
 		}
-		if len(slab) == 0 {
-			slab = make([]node, min(nodeSlab, nVars-i))
-		}
-		n := &slab[0]
-		slab = slab[1:]
+		mc := mcs[j]
+		ids = ids[:0]
 		var idOrder keyOrder
-		for j := 0; j < nPts; j++ {
+		for k := 0; k < nPts; k++ {
 			id := r.Uvarint()
 			if id >= uint64(len(res.objects)) || !idOrder.next(id, 0) {
 				return nil, firstErr(r.Err(), fmt.Errorf("pointsto: decode: points-to object ID %d of %d, or out of order", id, len(res.objects)))
 			}
-			n.pts.add(int(id))
+			ids = append(ids, int(id))
 		}
-		res.varNodes[varKey{reg, ctx}] = n
-		if reg != runReg {
-			if runReg != nil {
-				res.regNodes[runReg] = inst[runStart:len(inst):len(inst)]
+		// The IDs ascend, so the set's span is known before its words
+		// are carved out of the slab, already trimmed.
+		lo := ids[0] >> 6
+		n := ids[len(ids)-1]>>6 - lo + 1
+		if n > len(words) {
+			words = make([]uint64, max(n, wordSlabSize))
+		}
+		b := bitset{off: lo, words: words[:n:n]}
+		words = words[n:]
+		for _, id := range ids {
+			b.words[id>>6-lo] |= 1 << (uint(id) & 63)
+		}
+		res.sets = append(res.sets, b)
+		if k := res.slotOf(reg, mc); k >= 0 {
+			mc.slots[k].v = int32(len(res.sets))
+		} else {
+			if res.extra == nil {
+				res.extra = make(map[*ir.Reg][]extraVar)
 			}
-			runReg, runStart = reg, len(inst)
+			res.extra[reg] = append(res.extra[reg], extraVar{mc, int32(len(res.sets) - 1)})
 		}
-		inst = append(inst, n)
-	}
-	if runReg != nil {
-		res.regNodes[runReg] = inst[runStart:len(inst):len(inst)]
 	}
 
-	var edgeOrder keyOrder
+	// Call edges. Each call's entries are one run of res.callees, which
+	// the context-insensitive callee sets below must restate.
+	type callRun struct {
+		call       uint64
+		start, end int
+	}
+	var (
+		edgeOrder keyOrder
+		runs      []callRun
+		callees   []*MCtx // slab the callee lists are carved from
+	)
 	nEdges := r.Len()
-	res.callEdges = make(map[callSiteKey][]*MCtx, presize(nEdges, r, edgeEntryBytes))
+	res.callees = make([][]*MCtx, 0, presize(nEdges, r, edgeEntryBytes))
 	for i := 0; i < nEdges; i++ {
 		callID := r.Uvarint()
 		callerID := r.Uvarint()
@@ -387,15 +415,24 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 		if !edgeOrder.next(callID, callerID) || nCallees == 0 {
 			return nil, fmt.Errorf("pointsto: decode: call edge entry %d is out of order or empty", i)
 		}
-		if _, ok := prog.InstrByID(int(callID)).(*ir.Call); !ok {
+		if _, ok := instr(callID).(*ir.Call); !ok {
 			return nil, fmt.Errorf("pointsto: decode: call edge at instruction #%d, not a call", callID)
 		}
-		if _, err := mctx(callerID); err != nil {
+		caller, err := mctx(callerID)
+		if err != nil {
 			return nil, err
 		}
-		callees := make([]*MCtx, nCallees)
+		k := int(callID) - caller.first
+		if uint(k) >= uint(len(caller.slots)) {
+			return nil, fmt.Errorf("pointsto: decode: call edge entry %d: call #%d is outside its caller %s", i, callID, caller.Method.Name())
+		}
+		if nCallees > len(callees) {
+			callees = make([]*MCtx, max(nCallees, calleeSlabSize))
+		}
+		list := callees[:nCallees:nCallees]
+		callees = callees[nCallees:]
 		var calleeOrder keyOrder
-		for j := range callees {
+		for j := range list {
 			id := r.Uvarint()
 			mc, err := mctx(id)
 			if err == nil && !calleeOrder.next(id, 0) {
@@ -404,57 +441,70 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 			if err != nil {
 				return nil, firstErr(r.Err(), err)
 			}
-			callees[j] = mc
+			list[j] = mc
 		}
-		res.callEdges[callSiteKey{int(callID), int(callerID)}] = callees
+		res.callees = append(res.callees, list)
+		caller.slots[k].calls = int32(len(res.callees))
+		if len(runs) == 0 || runs[len(runs)-1].call != callID {
+			runs = append(runs, callRun{call: callID, start: len(res.callees) - 1})
+		}
+		runs[len(runs)-1].end = len(res.callees)
 	}
 
-	var ciOrder keyOrder
+	// Context-insensitive callee sets: exactly one per call with edges,
+	// naming the methods of that call's callees, which is what Callees
+	// answers from the edges.
 	nCIs := r.Len()
-	res.calleesCI = make(map[*ir.Call]map[*ir.Method]bool, presize(nCIs, r, ciEntryBytes))
-	for i := 0; i < nCIs; i++ {
+	if nCIs != len(runs) {
+		return nil, firstErr(r.Err(), fmt.Errorf("pointsto: decode: %d callee sets for %d calls with edges", nCIs, len(runs)))
+	}
+	var union []*ir.Method
+	for i, run := range runs {
 		callID := r.Uvarint()
 		nNames := r.Len()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if !ciOrder.next(callID, 0) || nNames == 0 {
-			return nil, fmt.Errorf("pointsto: decode: callee set entry %d is out of order or empty", i)
+		union = union[:0]
+		for _, list := range res.callees[run.start:run.end] {
+			for _, mc := range list {
+				if !slices.Contains(union, mc.Method) {
+					union = append(union, mc.Method)
+				}
+			}
 		}
-		call, ok := prog.InstrByID(int(callID)).(*ir.Call)
-		if !ok {
-			return nil, fmt.Errorf("pointsto: decode: instruction #%d is not a call", callID)
+		if callID != run.call || nNames != len(union) {
+			return nil, fmt.Errorf("pointsto: decode: callee set entry %d (#%d, %d names) does not restate call #%d's %d callee methods", i, callID, nNames, run.call, len(union))
 		}
-		set := make(map[*ir.Method]bool, nNames)
 		prev := ""
 		for j := 0; j < nNames; j++ {
 			name := r.String()
 			m, err := method(name)
-			if err == nil && j > 0 && name <= prev {
-				err = fmt.Errorf("pointsto: decode: callee set entry %d out of order", i)
+			if err == nil && (j > 0 && name <= prev || !slices.Contains(union, prog.Methods[m])) {
+				err = fmt.Errorf("pointsto: decode: callee set entry %d is out of order or names a method no edge calls", i)
 			}
 			if err != nil {
 				return nil, firstErr(r.Err(), err)
 			}
-			set[m] = true
 			prev = name
 		}
-		res.calleesCI[call] = set
 	}
 
+	// Reachable methods: exactly the methods with contexts, by name.
 	nReach := r.Len()
-	res.reachableM = make(map[*ir.Method]bool, nReach)
+	if nReach != reachable {
+		return nil, firstErr(r.Err(), fmt.Errorf("pointsto: decode: %d reachable methods, %d methods have contexts", nReach, reachable))
+	}
 	prev := ""
 	for i := 0; i < nReach; i++ {
 		name := r.String()
 		m, err := method(name)
-		if err == nil && i > 0 && name <= prev {
-			err = fmt.Errorf("pointsto: decode: reachable methods out of order")
+		if err == nil && (i > 0 && name <= prev || len(res.mctxsOf[prog.Methods[m]]) == 0) {
+			err = fmt.Errorf("pointsto: decode: reachable methods out of order or without a context")
 		}
 		if err != nil {
 			return nil, firstErr(r.Err(), err)
 		}
-		res.reachableM[m] = true
 		prev = name
 	}
 
@@ -465,12 +515,12 @@ func DecodeResult(data []byte, prog *ir.Program) (res *Result, err error) {
 }
 
 // The fewest payload bytes one entry of each section can take, and the
-// number of decoded nodes allocated at once.
+// slab chunk sizes of decoded set words and callee lists.
 const (
 	varEntryBytes  = 4 // register, context, count, one object ID
 	edgeEntryBytes = 4 // call, caller, count, one callee
-	ciEntryBytes   = 3 // call, count, one name's length
-	nodeSlab       = 256
+	wordSlabSize   = 1024
+	calleeSlabSize = 256
 )
 
 // presize returns how many of n entries, each at least minBytes long,

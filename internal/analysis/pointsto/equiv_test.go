@@ -129,7 +129,7 @@ func diffSummaries(t *testing.T, label string, want, got *summary) {
 	}
 }
 
-func loadProg(t *testing.T, srcs map[string]string) *ir.Program {
+func loadProg(t testing.TB, srcs map[string]string) *ir.Program {
 	t.Helper()
 	info, err := loader.Load(srcs)
 	if err != nil {

@@ -10,18 +10,28 @@ func SetSweepEveryForTest(n int) (restore func()) {
 }
 
 // SetWordsForTest returns the number of 64-bit words held by r's
-// variable points-to sets, counting each node once.
+// variable points-to sets, counting each set once.
 func SetWordsForTest(r *Result) int {
-	seen := make(map[*node]bool, len(r.varNodes))
 	words := 0
-	for _, n := range r.varNodes { //determinism:ok summed, order-free
-		if !seen[n] {
-			seen[n] = true
-			words += len(n.pts.words)
-		}
+	for _, b := range r.sets {
+		words += len(b.words)
 	}
 	return words
 }
+
+// ExtraVarsForTest returns the number of points-to sets r holds for
+// registers without a definition in their method's body.
+func ExtraVarsForTest(r *Result) int {
+	n := 0
+	for _, list := range r.extra { //determinism:ok summed, order-free
+		n += len(list)
+	}
+	return n
+}
+
+// ErrRecoveredForTest marks a DecodeResult error that a recovered panic
+// produced rather than a check.
+var ErrRecoveredForTest = errRecovered
 
 // CorruptObjectForTest breaks the first object of r that has a heap
 // context: "depth" adds one to its depth, "cycle" makes it its own

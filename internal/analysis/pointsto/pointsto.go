@@ -14,6 +14,7 @@ package pointsto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"thinslice/internal/budget"
@@ -56,6 +57,54 @@ type MCtx struct {
 	ID     int
 	Method *ir.Method
 	Ctx    *Object // receiver object for container methods; nil otherwise
+
+	// first is the ID of the method's first instruction, and slots holds
+	// one entry per instruction of the method: instruction ID - first
+	// indexes it, the numbering the SDG gives its nodes too.
+	first int
+	slots []slot
+}
+
+// slot is one instruction of a method context: the points-to set of the
+// register the instruction defines and, for a call, its callee list.
+// Both fields are an index plus one, so 0 means none. During a solve v
+// names a constraint-graph node; in a Result it names a set in sets.
+type slot struct {
+	v     int32
+	calls int32 // index into Result.callees
+}
+
+// extraVar is the points-to set of a register in a context whose
+// method body does not hold the register's definition.
+type extraVar struct {
+	mc *MCtx
+	v  int32 // node ID during a solve, then an index into Result.sets
+}
+
+// slotSlab carves zeroed slot tables out of shared chunks.
+type slotSlab []slot
+
+func (sl *slotSlab) take(n int) []slot {
+	if n > len(*sl) {
+		*sl = make([]slot, max(n, slotSlabSize))
+	}
+	out := (*sl)[:n:n]
+	*sl = (*sl)[n:]
+	return out
+}
+
+// span returns the ID of m's first instruction and m's instruction
+// count. A method's instruction IDs are contiguous (ir.Verify), so an
+// instruction's ID minus first indexes the method's instructions.
+func span(m *ir.Method) (first, n int) {
+	first = -1
+	for _, b := range m.Blocks {
+		if first < 0 && len(b.Instrs) > 0 {
+			first = b.Instrs[0].ID()
+		}
+		n += len(b.Instrs)
+	}
+	return max(first, 0), n
 }
 
 func (mc *MCtx) String() string {
@@ -112,22 +161,89 @@ type Result struct {
 	// elimination merged into representatives (0 in NoCycleElim mode).
 	Collapsed int
 
-	prog       *ir.Program
-	objects    []*Object
-	mctxs      []*MCtx
-	mctxsOf    map[*ir.Method][]*MCtx
-	regNodes   map[*ir.Reg][]*node // all context instances of a register
-	varNodes   map[varKey]*node
-	callEdges  map[callSiteKey][]*MCtx
-	calleesCI  map[*ir.Call]map[*ir.Method]bool
-	reachableM map[*ir.Method]bool
-	entries    []*ir.Method
+	prog    *ir.Program
+	objects []*Object
+	mctxs   []*MCtx
+	mctxsOf map[*ir.Method][]*MCtx
+	// sets holds the final non-empty points-to sets of registers, which
+	// the contexts' slots and extra index. callees holds the callee
+	// contexts of each (context, call) pair with any, in ID order.
+	sets    []bitset
+	callees [][]*MCtx
+	// extra holds the sets of registers without a definition in their
+	// method's body (Def is nil or not the program's instruction), per
+	// context.
+	extra   map[*ir.Reg][]extraVar
+	entries []*ir.Method
 }
 
-// callSiteKey identifies a call site in a caller context.
-type callSiteKey struct {
-	callID   int
-	callerID int
+// slotOf returns the index of reg's defining instruction in mc's slots,
+// or -1 when mc's method body does not hold that definition.
+func (r *Result) slotOf(reg *ir.Reg, mc *MCtx) int {
+	if reg == nil || reg.Def == nil {
+		return -1
+	}
+	d := reg.Def
+	i := d.ID() - mc.first
+	if uint(i) >= uint(len(mc.slots)) || r.prog.InstrByID(d.ID()) != d {
+		return -1
+	}
+	return i
+}
+
+// setIn returns the points-to set of reg in context mc.
+func (r *Result) setIn(reg *ir.Reg, mc *MCtx) bitset {
+	if i := r.slotOf(reg, mc); i >= 0 {
+		if v := mc.slots[i].v; v != 0 {
+			return r.sets[v-1]
+		}
+		return bitset{}
+	}
+	for _, e := range r.extra[reg] {
+		if e.mc == mc {
+			return r.sets[e.v]
+		}
+	}
+	return bitset{}
+}
+
+// numVarSets counts the points-to sets r's slots and extra entries hold.
+func (r *Result) numVarSets() int {
+	n := 0
+	for _, mc := range r.mctxs {
+		for _, sl := range mc.slots {
+			if sl.v != 0 {
+				n++
+			}
+		}
+	}
+	for _, list := range r.extra { //determinism:ok summed, order-free
+		n += len(list)
+	}
+	return n
+}
+
+// union returns the union of reg's points-to sets over every context.
+func (r *Result) union(reg *ir.Reg) bitset {
+	var u bitset
+	if reg == nil {
+		return u
+	}
+	if d := reg.Def; d != nil && d.Block() != nil {
+		if mcs := r.mctxsOf[d.Block().Method]; len(mcs) > 0 {
+			if i := r.slotOf(reg, mcs[0]); i >= 0 {
+				for _, mc := range mcs {
+					if v := mc.slots[i].v; v != 0 {
+						u.or(r.sets[v-1])
+					}
+				}
+			}
+		}
+	}
+	for _, e := range r.extra[reg] {
+		u.or(r.sets[e.v])
+	}
+	return u
 }
 
 // MCtxs returns every reachable method-context (call graph node), in
@@ -140,12 +256,8 @@ func (r *Result) MCtxsOf(m *ir.Method) []*MCtx { return r.mctxsOf[m] }
 // PointsToIn returns the points-to set of reg in a specific method
 // context (empty for untracked or non-reference registers).
 func (r *Result) PointsToIn(reg *ir.Reg, mc *MCtx) []*Object {
-	n := r.varNodes[varKey{reg, mc.Ctx}]
-	if n == nil {
-		return nil
-	}
 	var out []*Object
-	n.pts.forEach(func(id int) { out = append(out, r.objects[id]) })
+	r.setIn(reg, mc).forEach(func(id int) { out = append(out, r.objects[id]) })
 	return out
 }
 
@@ -154,17 +266,17 @@ func (r *Result) PointsToIn(reg *ir.Reg, mc *MCtx) []*Object {
 // variant of PointsToIn for callers that only test or list IDs, like
 // the SDG build's heap-access pairing.
 func (r *Result) PointsToSetIn(reg *ir.Reg, mc *MCtx) Set {
-	n := r.varNodes[varKey{reg, mc.Ctx}]
-	if n == nil {
-		return Set{}
-	}
-	return Set{n.pts}
+	return Set{r.setIn(reg, mc)}
 }
 
 // CalleesAt returns the callee contexts of a call site as invoked from
 // a specific caller context.
 func (r *Result) CalleesAt(call *ir.Call, caller *MCtx) []*MCtx {
-	return r.callEdges[callSiteKey{call.ID(), caller.ID}]
+	i := call.ID() - caller.first
+	if uint(i) >= uint(len(caller.slots)) || caller.slots[i].calls == 0 {
+		return nil
+	}
+	return r.callees[caller.slots[i].calls-1]
 }
 
 // Objects returns all abstract objects, in creation order.
@@ -178,16 +290,18 @@ func (r *Result) NumCGNodes() int { return len(r.mctxs) }
 // ReachableMethods returns the distinct methods discovered during
 // on-the-fly call graph construction, in deterministic order.
 func (r *Result) ReachableMethods() []*ir.Method {
-	ms := make([]*ir.Method, 0, len(r.reachableM))
-	for m := range r.reachableM {
-		ms = append(ms, m)
+	ms := make([]*ir.Method, 0)
+	for _, mc := range r.mctxs {
+		if r.mctxsOf[mc.Method][0] == mc {
+			ms = append(ms, mc.Method)
+		}
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Name() < ms[j].Name() })
 	return ms
 }
 
 // Reachable reports whether m was discovered by the analysis.
-func (r *Result) Reachable(m *ir.Method) bool { return r.reachableM[m] }
+func (r *Result) Reachable(m *ir.Method) bool { return len(r.mctxsOf[m]) > 0 }
 
 // Entries returns the root methods used.
 func (r *Result) Entries() []*ir.Method { return r.entries }
@@ -195,47 +309,30 @@ func (r *Result) Entries() []*ir.Method { return r.entries }
 // PointsTo returns the context-insensitive projection of the points-to
 // set of reg: the union over all analyzed contexts.
 func (r *Result) PointsTo(reg *ir.Reg) []*Object {
-	seen := make(map[int]bool)
 	var out []*Object
-	for _, n := range r.regNodes[reg] {
-		n.pts.forEach(func(id int) {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, r.objects[id])
-			}
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	r.union(reg).forEach(func(id int) { out = append(out, r.objects[id]) })
 	return out
 }
 
 // MayAlias reports whether two registers may point to a common object.
 func (r *Result) MayAlias(a, b *ir.Reg) bool {
-	seen := make(map[int]bool)
-	for _, n := range r.regNodes[a] {
-		n.pts.forEach(func(id int) { seen[id] = true })
-	}
-	for _, n := range r.regNodes[b] {
-		found := false
-		n.pts.forEach(func(id int) {
-			if seen[id] {
-				found = true
-			}
-		})
-		if found {
-			return true
-		}
-	}
-	return false
+	return r.union(a).intersects(r.union(b))
 }
 
 // Callees returns the possible concrete targets of a call site,
-// context-insensitively, in deterministic order.
+// context-insensitively, in deterministic order: the methods of its
+// callee contexts under every context of its method.
 func (r *Result) Callees(call *ir.Call) []*ir.Method {
-	set := r.calleesCI[call]
-	ms := make([]*ir.Method, 0, len(set))
-	for m := range set {
-		ms = append(ms, m)
+	ms := make([]*ir.Method, 0)
+	if call.Block() == nil {
+		return ms
+	}
+	for _, mc := range r.mctxsOf[call.Block().Method] {
+		for _, callee := range r.CalleesAt(call, mc) {
+			if !slices.Contains(ms, callee.Method) {
+				ms = append(ms, callee.Method)
+			}
+		}
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Name() < ms[j].Name() })
 	return ms
@@ -312,11 +409,6 @@ type objFieldKey struct {
 	field *types.FieldInfo // nil = array elements
 }
 
-type varKey struct {
-	reg *ir.Reg
-	ctx *Object
-}
-
 type objKey struct {
 	site ir.Instr
 	ctx  *Object
@@ -334,21 +426,22 @@ type solver struct {
 
 	containers map[string]bool
 	nodes      []*node
-	varNodes   map[varKey]*node
 	fieldNodes map[objFieldKey]*node
 	staticNode map[*types.FieldInfo]*node
 	objects    map[objKey]*Object
 	mctxs      map[mctxKey]*MCtx
-	processed  map[*MCtx]bool
-	linked     map[[3]int]bool // (caller MCtx ID, call instr ID, callee MCtx ID)
-	returnsOf  map[*ir.Method][]*ir.Return
-	work       []*node
+	// rets holds, per context ID, the reference-typed values its method
+	// returns, gathered once per method and shared by its contexts.
+	rets [][]*ir.Reg
+	work []*node
 
-	// Slab allocation: nodes and objects are carved out of fixed-size
-	// chunks so building the constraint graph costs one allocation per
-	// slab instead of one per node, and neighbors stay cache-adjacent.
+	// Slab allocation: nodes, objects and context slots are carved out
+	// of fixed-size chunks so building the constraint graph costs one
+	// allocation per slab instead of one per node, and neighbors stay
+	// cache-adjacent.
 	nodeSlab []node
 	objSlab  []Object
+	slots    slotSlab
 
 	// Union-find over node IDs for cycle elimination. parent[i] == i
 	// marks a representative. edgeSet dedups copy edges by packed
@@ -437,25 +530,19 @@ func Analyze(prog *ir.Program, cfg Config) (*Result, error) {
 
 // newSolver builds an initialized solver.
 func newSolver(prog *ir.Program, cfg Config) *solver {
-	// The big solver tables all scale with program size: presizing them
-	// from the instruction count avoids their incremental rehashes
-	// (varNodes and edgeSet grow to a few entries per instruction on
-	// the larger corpora).
-	sz := prog.NumInstrs
+	// edgeSet scales with program size: presizing it from the
+	// instruction count avoids its incremental rehashes (it grows to a
+	// few entries per instruction on the larger corpora).
 	s := &solver{
 		prog:       prog,
 		maxDepth:   cfg.MaxCtxDepth,
 		containers: make(map[string]bool),
-		varNodes:   make(map[varKey]*node, 2*sz),
 		fieldNodes: make(map[objFieldKey]*node),
 		staticNode: make(map[*types.FieldInfo]*node),
 		objects:    make(map[objKey]*Object),
 		mctxs:      make(map[mctxKey]*MCtx),
-		processed:  make(map[*MCtx]bool),
-		linked:     make(map[[3]int]bool, sz),
-		returnsOf:  make(map[*ir.Method][]*ir.Return, len(prog.Methods)),
 		cycleElim:  !cfg.NoCycleElim,
-		edgeSet:    make(map[uint64]struct{}, 2*sz),
+		edgeSet:    make(map[uint64]struct{}, 2*prog.NumInstrs),
 		meter:      cfg.Budget.Phase(budget.PhasePointsTo),
 	}
 	if s.maxDepth == 0 {
@@ -466,22 +553,7 @@ func newSolver(prog *ir.Program, cfg Config) *solver {
 			s.containers[c] = true
 		}
 	}
-	s.res = &Result{
-		prog:       prog,
-		mctxsOf:    make(map[*ir.Method][]*MCtx),
-		regNodes:   make(map[*ir.Reg][]*node),
-		callEdges:  make(map[callSiteKey][]*MCtx),
-		calleesCI:  make(map[*ir.Call]map[*ir.Method]bool),
-		reachableM: make(map[*ir.Method]bool),
-	}
-	s.res.varNodes = s.varNodes
-	for _, m := range prog.Methods {
-		m.Instrs(func(ins ir.Instr) {
-			if r, ok := ins.(*ir.Return); ok {
-				s.returnsOf[m] = append(s.returnsOf[m], r)
-			}
-		})
-	}
+	s.res = &Result{prog: prog, mctxsOf: make(map[*ir.Method][]*MCtx)}
 	return s
 }
 
@@ -501,27 +573,57 @@ func defaultEntries(prog *ir.Program, cfg Config) []*ir.Method {
 	return entries
 }
 
-// finish drains nothing further: it records the stop state, normalizes
-// query maps, and canonicalizes complete fixpoints.
+// finish drains nothing further: it records the stop state, moves the
+// final sets out of the constraint graph, and canonicalizes complete
+// fixpoints.
 func (s *solver) finish() *Result {
 	s.res.LimitErr = s.stop
-	if s.res.Collapsed > 0 {
-		// Normalize the query-facing node maps to representatives so the
-		// Result never reads a collapsed member's (stale, nil'd) fields.
-		// With nothing collapsed every node is its own representative.
-		for k, n := range s.varNodes { //determinism:ok in-place per-key rewrite, independent
-			s.varNodes[k] = s.find(n)
-		}
-		for _, list := range s.res.regNodes { //determinism:ok in-place per-key rewrite, independent
-			for i, n := range list {
-				list[i] = s.find(n)
-			}
-		}
-	}
+	s.keepSets()
 	if s.stop == nil {
 		s.canonicalize()
 	}
 	return s.res
+}
+
+// keepSets gives the Result the points-to sets of its variable nodes'
+// representatives, one set per representative, and rewrites the slots
+// and extra entries from node IDs to set indexes. An empty set becomes
+// no set, as the query API cannot tell the two apart. The Result then
+// holds nothing of the constraint graph.
+func (s *solver) keepSets() {
+	s.res.sets = make([]bitset, 0, s.res.numVarSets()) // at most one set per slot or entry
+	setOf := make([]int32, len(s.nodes))               // representative ID → set index + 1, or -1 when empty
+	keep := func(nodePlus1 int32) int32 {
+		rep := s.findID(nodePlus1 - 1)
+		if setOf[rep] == 0 {
+			setOf[rep] = -1
+			if pts := s.nodes[rep].pts; !pts.empty() {
+				s.res.sets = append(s.res.sets, pts)
+				setOf[rep] = int32(len(s.res.sets))
+			}
+		}
+		return max(setOf[rep], 0)
+	}
+	for _, mc := range s.res.mctxs {
+		for i := range mc.slots {
+			if v := mc.slots[i].v; v != 0 {
+				mc.slots[i].v = keep(v)
+			}
+		}
+	}
+	for reg, list := range s.res.extra { //determinism:ok set numbering is internal; no query or encoding reads it
+		kept := list[:0]
+		for _, e := range list {
+			if v := keep(e.v + 1); v != 0 {
+				kept = append(kept, extraVar{e.mc, v - 1})
+			}
+		}
+		if len(kept) == 0 {
+			delete(s.res.extra, reg)
+			continue
+		}
+		s.res.extra[reg] = kept
+	}
 }
 
 // run performs one solver pass; budget violations are left in the
@@ -545,6 +647,7 @@ func isRefType(t types.Type) bool { return types.IsRef(t) }
 const (
 	nodeSlabSize = 256
 	objSlabSize  = 128
+	slotSlabSize = 4096
 )
 
 func (s *solver) newNode() *node {
@@ -558,14 +661,30 @@ func (s *solver) newNode() *node {
 	return n
 }
 
-func (s *solver) varNode(reg *ir.Reg, ctx *Object) *node {
-	k := varKey{reg, ctx}
-	if n, ok := s.varNodes[k]; ok {
-		return s.find(n)
+// varNode returns the node of reg in context mc: the node in the slot
+// of reg's defining instruction, or for a register without a definition
+// in mc's method body, the node in the extra map.
+func (s *solver) varNode(reg *ir.Reg, mc *MCtx) *node {
+	if i := s.res.slotOf(reg, mc); i >= 0 {
+		sl := &mc.slots[i]
+		if sl.v != 0 {
+			return s.find(s.nodes[sl.v-1])
+		}
+		n := s.newNode()
+		sl.v = n.id + 1
+		return n
+	}
+	list := s.res.extra[reg]
+	for _, e := range list {
+		if e.mc == mc {
+			return s.find(s.nodes[e.v])
+		}
 	}
 	n := s.newNode()
-	s.varNodes[k] = n
-	s.res.regNodes[reg] = append(s.res.regNodes[reg], n)
+	if s.res.extra == nil {
+		s.res.extra = make(map[*ir.Reg][]extraVar)
+	}
+	s.res.extra[reg] = append(list, extraVar{mc, n.id})
 	return n
 }
 
@@ -618,9 +737,24 @@ func (s *solver) mctx(m *ir.Method, ctx *Object) (*MCtx, bool) {
 		return mc, false
 	}
 	mc := &MCtx{ID: len(s.res.mctxs), Method: m, Ctx: ctx}
+	others := s.res.mctxsOf[m]
+	if len(others) > 0 {
+		mc.first, mc.slots = others[0].first, s.slots.take(len(others[0].slots))
+		s.rets = append(s.rets, s.rets[others[0].ID])
+	} else {
+		first, n := span(m)
+		mc.first, mc.slots = first, s.slots.take(n)
+		var rets []*ir.Reg
+		m.Instrs(func(ins ir.Instr) {
+			if ret, ok := ins.(*ir.Return); ok && ret.Val != nil && isRefType(ret.Val.Typ) {
+				rets = append(rets, ret.Val)
+			}
+		})
+		s.rets = append(s.rets, rets)
+	}
 	s.mctxs[k] = mc
 	s.res.mctxs = append(s.res.mctxs, mc)
-	s.res.mctxsOf[m] = append(s.res.mctxsOf[m], mc)
+	s.res.mctxsOf[m] = append(others, mc)
 	return mc, true
 }
 
@@ -666,7 +800,6 @@ func (s *solver) addEdge(from, to *node) {
 func (s *solver) reach(m *ir.Method, ctx *Object) *MCtx {
 	mc, fresh := s.mctx(m, ctx)
 	if fresh {
-		s.res.reachableM[m] = true
 		s.processBody(mc)
 	}
 	return mc
@@ -685,7 +818,6 @@ func (s *solver) calleeCtx(target *ir.Method, recv *Object) *Object {
 func (s *solver) heapCtx(mc *MCtx) *Object { return mc.Ctx }
 
 func (s *solver) processBody(mc *MCtx) {
-	ctx := mc.Ctx
 	strClass := s.prog.Info.String
 	mc.Method.Instrs(func(ins ir.Instr) {
 		if !s.tick() {
@@ -694,26 +826,26 @@ func (s *solver) processBody(mc *MCtx) {
 		switch ins := ins.(type) {
 		case *ir.New:
 			o := s.object(ins, s.heapCtx(mc), ins.Class, nil)
-			s.addObj(s.varNode(ins.Dst, ctx), o)
+			s.addObj(s.varNode(ins.Dst, mc), o)
 		case *ir.NewArray:
 			o := s.object(ins, s.heapCtx(mc), nil, ins.Elem)
-			s.addObj(s.varNode(ins.Dst, ctx), o)
+			s.addObj(s.varNode(ins.Dst, mc), o)
 		case *ir.ConstStr:
 			o := s.object(ins, s.heapCtx(mc), strClass, nil)
-			s.addObj(s.varNode(ins.Dst, ctx), o)
+			s.addObj(s.varNode(ins.Dst, mc), o)
 		case *ir.StrOp:
 			if isRefType(ins.Dst.Typ) {
 				o := s.object(ins, s.heapCtx(mc), strClass, nil)
-				s.addObj(s.varNode(ins.Dst, ctx), o)
+				s.addObj(s.varNode(ins.Dst, mc), o)
 			}
 		case *ir.Input:
 			if !ins.IsInt {
 				o := s.object(ins, s.heapCtx(mc), strClass, nil)
-				s.addObj(s.varNode(ins.Dst, ctx), o)
+				s.addObj(s.varNode(ins.Dst, mc), o)
 			}
 		case *ir.Copy:
 			if isRefType(ins.Src.Typ) {
-				s.addEdge(s.varNode(ins.Src, ctx), s.varNode(ins.Dst, ctx))
+				s.addEdge(s.varNode(ins.Src, mc), s.varNode(ins.Dst, mc))
 			}
 		case *ir.Cast:
 			if isRefType(ins.Dst.Typ) && isRefType(ins.Src.Typ) {
@@ -723,45 +855,45 @@ func (s *solver) processBody(mc *MCtx) {
 				// propagation would complicate the solver; instead use
 				// a dedicated filter node pattern: connect src -> dst
 				// and rely on the filter at propagation time.
-				s.addFilteredEdge(s.varNode(ins.Src, ctx), s.varNode(ins.Dst, ctx), ins.Target)
+				s.addFilteredEdge(s.varNode(ins.Src, mc), s.varNode(ins.Dst, mc), ins.Target)
 			}
 		case *ir.Phi:
 			if isRefType(ins.Dst.Typ) || anyRef(ins.Edges) {
-				dst := s.varNode(ins.Dst, ctx)
+				dst := s.varNode(ins.Dst, mc)
 				for _, e := range ins.Edges {
-					s.addEdge(s.varNode(e, ctx), dst)
+					s.addEdge(s.varNode(e, mc), dst)
 				}
 			}
 		case *ir.GetField:
 			if isRefType(ins.Dst.Typ) {
-				base := s.varNode(ins.Obj, ctx)
-				base.loads = append(base.loads, loadCon{ins.Field, s.varNode(ins.Dst, ctx)})
+				base := s.varNode(ins.Obj, mc)
+				base.loads = append(base.loads, loadCon{ins.Field, s.varNode(ins.Dst, mc)})
 				s.replayObjects(base)
 			}
 		case *ir.SetField:
 			if isRefType(ins.Val.Typ) {
-				base := s.varNode(ins.Obj, ctx)
-				base.stores = append(base.stores, storeCon{ins.Field, s.varNode(ins.Val, ctx)})
+				base := s.varNode(ins.Obj, mc)
+				base.stores = append(base.stores, storeCon{ins.Field, s.varNode(ins.Val, mc)})
 				s.replayObjects(base)
 			}
 		case *ir.GetStatic:
 			if isRefType(ins.Dst.Typ) {
-				s.addEdge(s.staticFieldNode(ins.Field), s.varNode(ins.Dst, ctx))
+				s.addEdge(s.staticFieldNode(ins.Field), s.varNode(ins.Dst, mc))
 			}
 		case *ir.SetStatic:
 			if isRefType(ins.Val.Typ) {
-				s.addEdge(s.varNode(ins.Val, ctx), s.staticFieldNode(ins.Field))
+				s.addEdge(s.varNode(ins.Val, mc), s.staticFieldNode(ins.Field))
 			}
 		case *ir.ArrayLoad:
 			if isRefType(ins.Dst.Typ) {
-				base := s.varNode(ins.Arr, ctx)
-				base.loads = append(base.loads, loadCon{nil, s.varNode(ins.Dst, ctx)})
+				base := s.varNode(ins.Arr, mc)
+				base.loads = append(base.loads, loadCon{nil, s.varNode(ins.Dst, mc)})
 				s.replayObjects(base)
 			}
 		case *ir.ArrayStore:
 			if isRefType(ins.Val.Typ) {
-				base := s.varNode(ins.Arr, ctx)
-				base.stores = append(base.stores, storeCon{nil, s.varNode(ins.Val, ctx)})
+				base := s.varNode(ins.Arr, mc)
+				base.stores = append(base.stores, storeCon{nil, s.varNode(ins.Val, mc)})
 				s.replayObjects(base)
 			}
 		case *ir.Call:
@@ -792,7 +924,6 @@ type filter struct {
 }
 
 func (s *solver) processCall(mc *MCtx, call *ir.Call) {
-	ctx := mc.Ctx
 	switch call.Mode {
 	case ir.CallStatic:
 		target := s.prog.MethodOf[call.Callee]
@@ -802,7 +933,7 @@ func (s *solver) processCall(mc *MCtx, call *ir.Call) {
 		callee := s.reach(target, nil)
 		s.linkCall(mc, call, callee, nil)
 	case ir.CallVirtual, ir.CallCtor:
-		recv := s.varNode(call.Recv, ctx)
+		recv := s.varNode(call.Recv, mc)
 		recv.calls = append(recv.calls, callCon{call: call, caller: mc})
 		s.replayObjects(recv)
 	}
@@ -824,23 +955,23 @@ func (s *solver) replayObjects(n *node) {
 // linkCall connects a call site in (caller) to callee with the given
 // receiver object (nil for static calls).
 func (s *solver) linkCall(caller *MCtx, call *ir.Call, callee *MCtx, recvObj *Object) {
-	key := [3]int{caller.ID, call.ID(), callee.ID}
-	if s.linked[key] {
+	sl := &caller.slots[call.ID()-caller.first]
+	var list []*MCtx
+	if sl.calls != 0 {
+		list = s.res.callees[sl.calls-1]
+	}
+	if slices.Contains(list, callee) {
 		if recvObj != nil {
 			// Still need to flow this receiver object into the formal.
 			s.flowReceiver(callee, recvObj)
 		}
 		return
 	}
-	s.linked[key] = true
-	ck := callSiteKey{call.ID(), caller.ID}
-	s.res.callEdges[ck] = append(s.res.callEdges[ck], callee)
-	set := s.res.calleesCI[call]
-	if set == nil {
-		set = make(map[*ir.Method]bool)
-		s.res.calleesCI[call] = set
+	if sl.calls == 0 {
+		s.res.callees = append(s.res.callees, nil)
+		sl.calls = int32(len(s.res.callees))
 	}
-	set[callee.Method] = true
+	s.res.callees[sl.calls-1] = append(list, callee)
 
 	params := callee.Method.Params
 	offset := 0
@@ -856,15 +987,13 @@ func (s *solver) linkCall(caller *MCtx, call *ir.Call, callee *MCtx, recvObj *Ob
 		}
 		formal := params[i+offset]
 		if isRefType(arg.Typ) && isRefType(formal.Dst.Typ) {
-			s.addEdge(s.varNode(arg, caller.Ctx), s.varNode(formal.Dst, callee.Ctx))
+			s.addEdge(s.varNode(arg, caller), s.varNode(formal.Dst, callee))
 		}
 	}
 	if call.Dst != nil && isRefType(call.Dst.Typ) {
-		dst := s.varNode(call.Dst, caller.Ctx)
-		for _, ret := range s.returnsOf[callee.Method] {
-			if ret.Val != nil && isRefType(ret.Val.Typ) {
-				s.addEdge(s.varNode(ret.Val, callee.Ctx), dst)
-			}
+		dst := s.varNode(call.Dst, caller)
+		for _, ret := range s.rets[callee.ID] {
+			s.addEdge(s.varNode(ret, callee), dst)
 		}
 	}
 }
@@ -874,7 +1003,7 @@ func (s *solver) flowReceiver(callee *MCtx, recvObj *Object) {
 		return
 	}
 	thisFormal := callee.Method.Params[0]
-	s.addObj(s.varNode(thisFormal.Dst, callee.Ctx), recvObj)
+	s.addObj(s.varNode(thisFormal.Dst, callee), recvObj)
 }
 
 // sweepEveryOverride, when positive, forces a sweep after that many
