@@ -28,9 +28,9 @@
 //
 //	thinslice serve -addr :8080
 //
-// The watch subcommand keeps an incremental session alive over the
-// named files and re-slices the seeds whenever a file changes on disk
-// (see watch.go):
+// The watch subcommand keeps one session alive over the named files
+// and re-slices the seeds whenever a file changes on disk (see
+// watch.go):
 //
 //	thinslice watch -seed prog.mj:42 prog.mj [more.mj ...]
 //

@@ -1,8 +1,8 @@
 package main
 
-// The watch subcommand keeps one incremental analysis session alive
-// over a fixed set of program files and re-slices the watched seeds
-// whenever a file changes on disk:
+// The watch subcommand keeps one analysis session alive over a fixed
+// set of program files and re-slices the watched seeds whenever a file
+// changes on disk:
 //
 //	thinslice watch -seed prog.mj:42 [-checks nilderef] prog.mj...
 //
@@ -13,10 +13,10 @@ package main
 // reappears), but new files are not picked up.
 //
 // Each revision prints the updated slices, optional checker findings,
-// and what the derivation graph actually re-derived — the point of the
-// exercise is that a one-line edit re-lowers one method and rebuilds
-// the dependence graph off the previous revision's templates, not the
-// world. Points-to is solved from scratch on every revision.
+// and what it rebuilt: a changed program costs one points-to solve and
+// one dependence graph build, and a program the session has already
+// seen (an edit undone) costs neither, since every artifact is keyed by
+// content.
 
 import (
 	"context"
@@ -108,10 +108,9 @@ func runWatch(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Incremental sessions run unbudgeted: SDG template reuse refuses to
-	// engage under a budget, and an interactive watch wants warm edits
-	// to stay cheap, not truncated.
-	sess := session.Open(sources, session.WithIncremental(), session.WithObjSens(!*noObjSens))
+	// The session runs unbudgeted: its budget would be fixed at open and
+	// would have to cover every revision of a loop with no end.
+	sess := session.Open(sources, session.WithObjSens(!*noObjSens))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -199,8 +198,8 @@ func (w *watcher) pollEdits(paths []string, states map[string]watchFileState) []
 	return changed
 }
 
-// revision answers one revision: slices, findings, and the incremental
-// counter deltas showing what was actually re-derived.
+// revision answers one revision: slices, findings, and the build
+// counter deltas showing what it rebuilt.
 func (w *watcher) revision(rev int, why string) {
 	start := time.Now()
 	before := w.sess.Stats()
@@ -212,7 +211,7 @@ func (w *watcher) revision(rev int, why string) {
 		fmt.Fprintf(w.stderr, "thinslice: %v\n", err)
 		return
 	}
-	fmt.Fprintf(w.stdout, "rev %d (%s): %s in %s\n", rev, why, incrementalSummary(before, after), elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w.stdout, "rev %d (%s): %s in %s\n", rev, why, buildSummary(before, after), elapsed.Round(time.Millisecond))
 	for _, r := range results {
 		if len(r.Instrs) == 0 {
 			fmt.Fprintf(w.stdout, "  %s slice of %s: no reachable statements\n", w.opts.Mode, r.Seed)
@@ -261,22 +260,14 @@ func (w *watcher) query() ([]session.SeedResult, []checkers.Finding, error) {
 	return results, findings, nil
 }
 
-// incrementalSummary renders the Stats delta around one revision as a
-// one-line account of the re-derivation work.
-func incrementalSummary(before, after session.Stats) string {
-	lowered := after.UnitLowers - before.UnitLowers
-	reused := after.UnitReuses - before.UnitReuses
+// buildSummary renders the Stats delta around one revision as a
+// one-line account of the builds it ran.
+func buildSummary(before, after session.Stats) string {
 	var parts []string
-	if lowered > 0 || reused > 0 {
-		parts = append(parts, fmt.Sprintf("%d unit(s) lowered, %d reused", lowered, reused))
-	}
-	if n := after.PointsTos - before.PointsTos; n > 0 {
+	if after.PointsTos > before.PointsTos {
 		parts = append(parts, "full solve")
 	}
-	if n := after.DeltaSDGs - before.DeltaSDGs; n > 0 {
-		parts = append(parts, "delta SDG")
-	}
-	if n := after.SDGs - before.SDGs; n > 0 {
+	if after.SDGs > before.SDGs {
 		parts = append(parts, "full SDG")
 	}
 	if len(parts) == 0 {

@@ -11,9 +11,9 @@
 // revisions (Diff) yields the transitively affected frontier directly,
 // with no separate closure pass.
 //
-// The session's derivation graph uses the graph two ways: unit keys
-// address per-method IR artifacts in the shared store, and Diff
-// computes the changed-symbol frontier after an edit.
+// Session.Depgraph builds the graph on demand and keeps it in memory
+// only; no pipeline stage reads it. Diff between two revisions' graphs
+// names the units an edit affected.
 package depgraph
 
 import (
@@ -24,7 +24,6 @@ import (
 	"hash"
 	"sort"
 
-	"thinslice/internal/artifact"
 	"thinslice/internal/lang/ast"
 	"thinslice/internal/lang/token"
 	"thinslice/internal/lang/types"
@@ -98,7 +97,7 @@ func (h *hasher) sum() string { return hex.EncodeToString(h.h.Sum(nil)) }
 func Build(info *types.Info) *Graph {
 	b := &builder{info: info, classFPs: make(map[*types.ClassInfo]string)}
 	g := &Graph{index: make(map[string]int)}
-	// Same job collection as ir.LowerUnits: declaration order, with
+	// Same job collection as ir.Lower: declaration order, with
 	// the synthesized default constructor after a class's declared
 	// methods.
 	for _, decl := range info.Prog.Classes {
@@ -422,8 +421,8 @@ func walk(n ast.Node, f func(ast.Node)) {
 }
 
 // hashMethodDecl folds the complete declaration AST — positions
-// included, because lowered instructions carry source positions and the
-// per-unit IR artifacts must be byte-addressable — into h.
+// included, because lowered instructions carry source positions — into
+// h.
 func hashMethodDecl(h *hasher, m *ast.MethodDecl) {
 	h.str("decl")
 	h.pos(m.NamePos)
@@ -617,11 +616,6 @@ type Delta struct {
 	Removed []string // units only in the old revision
 }
 
-// Empty reports whether the revisions have identical unit sets and keys.
-func (d Delta) Empty() bool {
-	return len(d.Changed) == 0 && len(d.Added) == 0 && len(d.Removed) == 0
-}
-
 // Dirty returns the union of Changed and Added as a set: the units that
 // must be re-derived in the new revision.
 func (d Delta) Dirty() map[string]bool {
@@ -675,52 +669,4 @@ func (g *Graph) Fingerprint() string {
 		}
 	}
 	return h.sum()
-}
-
-// EncodeGraph returns the persistent payload for g (package artifact's
-// "depg" payload). The graph is pure strings, so no relinking is needed
-// to decode it.
-func EncodeGraph(g *Graph) ([]byte, error) {
-	var w artifact.Writer
-	w.Uvarint(uint64(len(g.Units)))
-	for _, u := range g.Units {
-		w.String(u.QName)
-		w.String(u.File)
-		w.String(u.Key)
-		w.Bool(u.Synthesized)
-		w.Uvarint(uint64(len(u.Refs)))
-		for _, r := range u.Refs {
-			w.String(r)
-		}
-	}
-	return w.Bytes(), nil
-}
-
-// DecodeGraph rebuilds a Graph from data. Any structural fault in data
-// is an error; decode never panics on corrupt input.
-func DecodeGraph(data []byte) (g *Graph, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			g, err = nil, fmt.Errorf("depgraph: decode: malformed payload: %v", rec)
-		}
-	}()
-	r := artifact.NewReader(data)
-	n := r.Len()
-	g = &Graph{index: make(map[string]int, n)}
-	for i := 0; i < n; i++ {
-		u := Unit{QName: r.String(), File: r.String(), Key: r.String(), Synthesized: r.Bool()}
-		nRefs := r.Len()
-		for j := 0; j < nRefs; j++ {
-			u.Refs = append(u.Refs, r.String())
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		g.index[u.QName] = len(g.Units)
-		g.Units = append(g.Units, u)
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

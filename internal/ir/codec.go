@@ -469,14 +469,7 @@ func DecodeProgram(data []byte, info *types.Info) (p *Program, err error) {
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	// Dense program-wide IDs, exactly as lowering assigns them.
-	for _, m := range prog.Methods {
-		m.Instrs(func(ins Instr) {
-			ins.setID(prog.NumInstrs)
-			prog.NumInstrs++
-			prog.instrByID = append(prog.instrByID, ins)
-		})
-	}
+	prog.numberInstrs()
 	if uint64(prog.NumInstrs) != numInstrs {
 		return nil, fmt.Errorf("ir: decode: %d instructions, header says %d", prog.NumInstrs, numInstrs)
 	}

@@ -9,13 +9,56 @@ import (
 )
 
 // Lower translates a checked program into SSA IR, one method at a time
-// in declaration order. Constructs that escaped the type checker are
-// lowered to safe placeholder values and recorded in the program's
-// Diags instead of panicking; callers should reject programs with
-// non-empty Diags.
+// in declaration order, then numbers the instructions densely across
+// the program. Constructs that escaped the type checker are lowered to
+// safe placeholder values and recorded in the program's Diags instead
+// of panicking; callers should reject programs with non-empty Diags.
 func Lower(info *types.Info) *Program {
-	prog, _, _ := LowerUnits(info, nil) // nothing to relink, so no error
+	jobs := collectJobs(info)
+	prog := &Program{Info: info, MethodOf: make(map[*types.MethodInfo]*Method, len(jobs))}
+	for _, mi := range jobs {
+		m, diags := lowerMethod(info, mi)
+		prog.Methods = append(prog.Methods, m)
+		prog.MethodOf[mi] = m
+		prog.Diags = append(prog.Diags, diags...)
+	}
+	prog.numberInstrs()
 	return prog
+}
+
+// collectJobs gathers the lowering jobs in the canonical declaration
+// order, which depgraph.Build shares: each class's declared methods,
+// then its synthesized default constructor.
+func collectJobs(info *types.Info) []*types.MethodInfo {
+	var jobs []*types.MethodInfo
+	for _, decl := range info.Prog.Classes {
+		ci := info.Classes[decl.Name]
+		if ci == nil || ci.Decl != decl {
+			continue
+		}
+		for _, mdecl := range decl.Methods {
+			if mi := info.MethodOfDecl[mdecl]; mi != nil {
+				jobs = append(jobs, mi)
+			}
+		}
+		if ci.Ctor != nil && ci.Ctor.Decl == nil {
+			jobs = append(jobs, ci.Ctor) // synthesized default constructor
+		}
+	}
+	return jobs
+}
+
+// numberInstrs assigns dense program-unique instruction IDs in method
+// order. Lowering and DecodeProgram both number through it, so a
+// decoded program is numbered exactly as the lowering that encoded it.
+func (p *Program) numberInstrs() {
+	for _, m := range p.Methods {
+		m.Instrs(func(ins Instr) {
+			ins.setID(p.NumInstrs)
+			p.NumInstrs++
+			p.instrByID = append(p.instrByID, ins)
+		})
+	}
 }
 
 // varKey identifies an SSA-converted variable: a declaration node, a

@@ -241,8 +241,8 @@ func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.callerNodes[mc]
 
 // Fingerprint returns a sha256 digest of the graph's full structure —
 // every node's ordered dependence list, the per-context caller-node
-// lists, and the edge count. Two builds of the same program (cold,
-// delta or decoded) must produce identical fingerprints; the
+// lists, and the edge count. Two builds of the same program, and a
+// build and its decoded copy, must produce identical fingerprints; the
 // equivalence tests pin exactly that.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
@@ -314,13 +314,6 @@ func Build(prog *ir.Program, pts *pointsto.Result) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// BuildBudget constructs the dependence graph under a budget: BuildDelta
-// with no retained state.
-func BuildBudget(prog *ir.Program, pts *pointsto.Result, b *budget.Budget) (*Graph, error) {
-	g, _, _, err := BuildDelta(prog, pts, nil, nil, b)
-	return g, err
 }
 
 // lenDeps returns the heap edges of one array-length read: the

@@ -333,7 +333,6 @@ func TestStatszSchemaGolden(t *testing.T) {
 		"phases.CSGraphs",
 		"phases.Checks",
 		"phases.Dataflows",
-		"phases.DeltaSDGs",
 		"phases.DeltaSolves",
 		"phases.Depgraphs",
 		"phases.Lowers",

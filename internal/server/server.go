@@ -22,8 +22,8 @@
 //   - A recover boundary around every request on top of the session's
 //     per-phase boundary: the response is always well-formed JSON.
 //
-// Endpoints: POST /slice, /batch, /check, /watch (a long-lived
-// incremental edit stream, see watch.go); GET /healthz, /readyz,
+// Endpoints: POST /slice, /batch, /check, /watch (a long-lived edit
+// stream, see watch.go); GET /healthz, /readyz,
 // /statsz. See the README "Serving" section for the wire format.
 package server
 

@@ -14,23 +14,23 @@ import (
 	"thinslice/internal/session"
 )
 
-// POST /watch is the long-lived incremental endpoint: the client opens
+// POST /watch is the long-lived edit-stream endpoint: the client opens
 // one full-duplex connection, sends an initial Request-shaped object,
 // and then streams edit objects (newline-delimited JSON) as files
-// change. The server keeps one incremental session (WithIncremental)
-// alive for the connection and answers every revision — the initial
-// one and each edit — with one WatchEvent line carrying the updated
-// slices, checker findings, and the incremental counters showing how
-// little was re-derived. Program errors in an intermediate revision
-// (a half-typed edit that no longer parses) are reported as
-// revision-scoped error events and the stream continues; only a
-// malformed stream, a drained server, or a closed connection ends it.
+// change. The server keeps one session alive for the connection and
+// answers every revision — the initial one and each edit — with one
+// WatchEvent line carrying the updated slices, checker findings, and
+// the counters showing what the revision rebuilt. Program errors in an
+// intermediate revision (a half-typed edit that no longer parses) are
+// reported as revision-scoped error events and the stream continues;
+// only a malformed stream, a drained server, or a closed connection
+// ends it.
 //
-// Watch sessions run unbudgeted: SDG template reuse refuses to engage
-// under a budget (a truncated graph would poison every later one), and
-// an editor-driven stream is interactive by nature. The per-revision
-// work is still admitted through the worker pool, so a watch stream
-// cannot starve request traffic between edits.
+// Watch sessions run unbudgeted: a session's budget is fixed when it
+// opens, and one watch session answers every revision of a stream that
+// may stay open for hours, so no single deadline fits it. The
+// per-revision work is still admitted through the worker pool, so a
+// watch stream cannot starve request traffic between edits.
 
 // WatchEdit is one edit message on a /watch stream. Any combination of
 // fields may be set; an empty edit just re-queries the current
@@ -44,15 +44,17 @@ type WatchEdit struct {
 	Seeds []string `json:"seeds,omitempty"`
 }
 
-// WatchIncremental reports what one revision actually re-derived —
-// the observable form of the session's derivation graph at work.
+// WatchIncremental reports what one revision rebuilt: one points-to
+// solve and one SDG build for a revision the store has not seen, none
+// for one it has. The other four fields are inert, always 0 and so
+// never on the wire: there is no unit tier, delta solver or delta SDG.
 type WatchIncremental struct {
-	UnitLowers  int `json:"unit_lowers"`  // per-method units lowered fresh
-	UnitReuses  int `json:"unit_reuses"`  // units cloned from the store
-	DeltaSolves int `json:"delta_solves"` // always 0: points-to has no incremental solver
-	FullSolves  int `json:"full_solves"`  // pointer analyses, one per rebuilt revision
-	DeltaSDGs   int `json:"delta_sdgs"`   // incremental SDG rebuilds
-	FullSDGs    int `json:"full_sdgs"`    // full SDG builds
+	UnitLowers  int `json:"unit_lowers,omitempty"`  // always 0
+	UnitReuses  int `json:"unit_reuses,omitempty"`  // always 0
+	DeltaSolves int `json:"delta_solves,omitempty"` // always 0
+	FullSolves  int `json:"full_solves"`            // pointer analyses
+	DeltaSDGs   int `json:"delta_sdgs,omitempty"`   // always 0
+	FullSDGs    int `json:"full_sdgs"`              // dependence graph builds
 }
 
 // WatchEvent is one revision's answer on a /watch stream. Between
@@ -133,7 +135,6 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 	opts := []session.Option{
 		session.InStore(s.store),
 		session.WithObjSens(!init.NoObjSens),
-		session.WithIncremental(),
 	}
 	if s.disk != nil {
 		opts = append(opts, session.WithDiskCache(s.disk))
@@ -237,15 +238,19 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 				sess.Remove(name)
 			}
 			if len(edit.Seeds) > 0 {
-				init.Seeds = edit.Seeds
-				init.Seed = ""
-				if seeds, err = parseWatchSeeds(&init); err != nil {
+				// Commit the new list only once it parses: a refused
+				// list leaves the stream on the seeds it had.
+				next := init
+				next.Seeds, next.Seed = edit.Seeds, ""
+				parsed, err := parseWatchSeeds(&next)
+				if err != nil {
 					rev++
 					if !emit(&WatchEvent{Rev: rev, Status: "error", Kind: "bad_request", Error: err.Error()}) {
 						return
 					}
 					continue
 				}
+				init, seeds = next, parsed
 			}
 			rev++
 			if !emit(s.watchRevision(r, sess, &init, seeds, rev)) {
@@ -259,7 +264,7 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 // watchRevision computes one revision's event: admission, the guarded
-// slice/check run, and the incremental counter delta around it.
+// slice/check run, and the build counters around it.
 func (s *Server) watchRevision(r *http.Request, sess *session.Session, init *Request, seeds []session.Seed, rev int) *WatchEvent {
 	start := time.Now()
 	release, err := s.admit.acquire(r.Context())
@@ -290,10 +295,7 @@ func (s *Server) watchRevision(r *http.Request, sess *session.Session, init *Req
 		ev.Findings = resp.Findings
 	}
 	ev.Incremental = &WatchIncremental{
-		UnitLowers: after.UnitLowers - before.UnitLowers,
-		UnitReuses: after.UnitReuses - before.UnitReuses,
 		FullSolves: after.PointsTos - before.PointsTos,
-		DeltaSDGs:  after.DeltaSDGs - before.DeltaSDGs,
 		FullSDGs:   after.SDGs - before.SDGs,
 	}
 	ev.ElapsedMS = time.Since(start).Milliseconds()

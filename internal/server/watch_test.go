@@ -127,11 +127,10 @@ func (c *watchClient) next() WatchEvent {
 }
 
 // TestWatchStreamIncrementalEdits is the end-to-end watch gate: a
-// stream over a multi-file program answers the initial revision with a
-// full build, answers a single-method edit with a delta build (one
-// unit re-lowered, one points-to solve, and BuildDelta instead of a
-// full SDG build), survives a revision that does not parse, and
-// recovers on the fix.
+// stream over a multi-file program answers the initial revision and a
+// single-method edit each with one points-to solve and one SDG build,
+// survives a revision that does not parse, and answers the fix, whose
+// content it has already built, with neither.
 func TestWatchStreamIncrementalEdits(t *testing.T) {
 	srv, err := New(Config{Workers: 2})
 	if err != nil {
@@ -157,12 +156,12 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if len(cold.Slices) != 1 || cold.Slices[0].Statements == 0 {
 		t.Fatalf("cold revision produced no slice: %+v", cold.Slices)
 	}
-	if inc := cold.Incremental; inc == nil || inc.FullSolves != 1 || inc.DeltaSolves != 0 || inc.UnitReuses != 0 {
+	if inc := cold.Incremental; inc == nil || *inc != (WatchIncremental{FullSolves: 1, FullSDGs: 1}) {
 		t.Fatalf("cold revision counters: %+v", cold.Incremental)
 	}
 
-	// One-line body edit: the warm revision re-lowers one unit and
-	// builds the SDG by delta.
+	// One-line body edit: the warm revision rebuilds points-to and the
+	// SDG once each.
 	c.send(WatchEdit{Update: map[string]string{"alpha.mj": watchAlphaEdited}})
 	warm := c.next()
 	if warm.Rev != 1 || warm.Status != "ok" {
@@ -171,18 +170,8 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if len(warm.Slices) != 1 || warm.Slices[0].Statements == 0 {
 		t.Fatalf("warm revision produced no slice: %+v", warm.Slices)
 	}
-	inc := warm.Incremental
-	if inc == nil {
-		t.Fatal("warm revision missing incremental counters")
-	}
-	if inc.UnitLowers != 1 || inc.UnitReuses == 0 {
-		t.Errorf("warm revision re-lowered %d units (reused %d), want exactly 1 fresh", inc.UnitLowers, inc.UnitReuses)
-	}
-	if inc.FullSolves != 1 || inc.DeltaSolves != 0 {
-		t.Errorf("warm revision solves: %+v, want one full solve and no delta", inc)
-	}
-	if inc.DeltaSDGs != 1 || inc.FullSDGs != 0 {
-		t.Errorf("warm revision SDG builds: %+v, want one delta and no full build", inc)
+	if inc := warm.Incremental; inc == nil || *inc != (WatchIncremental{FullSolves: 1, FullSDGs: 1}) {
+		t.Errorf("warm revision counters: %+v, want one full solve and one full SDG", warm.Incremental)
 	}
 
 	// A half-typed revision: the stream reports the program error and
@@ -200,8 +189,33 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if fixed.Rev != 3 || fixed.Status != "ok" || len(fixed.Slices) != 1 {
 		t.Fatalf("fixed revision: %+v", fixed)
 	}
-	if fi := fixed.Incremental; fi.UnitLowers != 0 || fi.FullSolves != 0 || fi.DeltaSolves != 0 {
-		t.Errorf("fixed revision re-derived artifacts despite identical content: %+v", fi)
+	if fi := fixed.Incremental; fi == nil || *fi != (WatchIncremental{}) {
+		t.Errorf("fixed revision re-derived artifacts despite identical content: %+v", fixed.Incremental)
+	}
+}
+
+// TestWatchKeepsSeedsAfterRefusedSeedsEdit: an edit whose seed list does
+// not parse is answered bad_request and leaves the stream on the seeds
+// it had, so the next revision still slices them.
+func TestWatchKeepsSeedsAfterRefusedSeedsEdit(t *testing.T) {
+	srv := mustNew(t, testConfig())
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	c := dialWatch(t, ts.URL, Request{
+		Sources: map[string]string{"alpha.mj": watchAlpha, "main.mj": watchMain},
+		Seeds:   []string{"main.mj:6"},
+	})
+	if ev := c.next(); ev.Rev != 0 || ev.Status != "ok" || len(ev.Slices) != 1 {
+		t.Fatalf("rev 0: %+v", ev)
+	}
+	c.send(WatchEdit{Seeds: []string{"bogus"}})
+	if ev := c.next(); ev.Rev != 1 || ev.Status != "error" || ev.Kind != "bad_request" {
+		t.Fatalf("refused seeds edit: %+v", ev)
+	}
+	c.send(WatchEdit{Update: map[string]string{"alpha.mj": watchAlphaEdited}})
+	if ev := c.next(); ev.Rev != 2 || ev.Status != "ok" || len(ev.Slices) != 1 || ev.Slices[0].Statements == 0 {
+		t.Fatalf("revision after a refused seeds edit lost its seeds: %+v", ev)
 	}
 }
 

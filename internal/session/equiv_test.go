@@ -14,11 +14,10 @@ import (
 
 // The randomized edit-script sweep: scripted sequences of insert-,
 // modify-, and delete-method edits over multi-file programs (synthetic,
-// papercases, and randprog bases), each step asserting the incremental
+// papercases, and randprog bases), each step asserting the updated
 // session's points-to result and dependence graph byte-identical to a
-// from-scratch build. This is the session-level closure of the
-// per-layer equivalence proofs (unit re-lowering, sdg.BuildDelta):
-// whatever frontier the depgraph computes, the pipeline must not drift.
+// fresh session's. An updated session must re-derive exactly what the
+// edit reaches and reuse nothing stale from earlier revisions.
 
 // sweepMethod is one generated (and editable) method of a sweep class.
 type sweepMethod struct {
@@ -178,14 +177,14 @@ func (p *sweepProg) mutate() {
 	}
 }
 
-// runSweepScript drives one script: open an incremental session over
-// the base revision, then per edit step apply the changed files and
-// assert byte-identity with a cold build.
+// runSweepScript drives one script: open a session over the base
+// revision, then per edit step apply the changed files and assert
+// byte-identity with a cold build.
 func runSweepScript(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	p := newSweepProg(rng)
 	srcs := p.render()
-	s := session.Open(srcs, session.WithIncremental())
+	s := session.Open(srcs)
 	assertMatchesColdBuild(t, s, srcs)
 	steps := 3 + rng.Intn(3)
 	for step := 0; step < steps; step++ {

@@ -121,7 +121,7 @@ func garbageDisk(t *testing.T, srcs map[string]string, kind string) *diskstore.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	tieredOutputs(t, session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk)))
+	tieredOutputs(t, session.Open(srcs, session.WithDiskCache(disk)))
 	planted := 0
 	for _, key := range disk.Keys() {
 		_, k, ok := disk.GetRecord(key)
@@ -150,7 +150,7 @@ func TestQuarantineLogNamesDecodeError(t *testing.T) {
 	srcs := taintSources()
 	disk := garbageDisk(t, srcs, "sdg")
 	keys := disk.Keys() // garbageDisk quarantined every other record
-	s := session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk))
+	s := session.Open(srcs, session.WithDiskCache(disk))
 	if _, err := s.Graph(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,45 +176,6 @@ func TestQuarantineLogNamesDecodeError(t *testing.T) {
 			t.Errorf("quarantine.log has no line ending %q:\n%s", want, log)
 		}
 	}
-}
-
-// TestUnitRecordsQuarantined: garbage unit records on disk cost
-// re-lowering those units, never incremental lowering itself. Each bad
-// record is quarantined, the units are lowered and published, and the
-// next one-method edit reuses every other unit.
-func TestUnitRecordsQuarantined(t *testing.T) {
-	srcs := incSources()
-	disk := garbageDisk(t, srcs, "unit")
-	before := disk.Stats().Quarantines
-	s := session.Open(srcs, session.WithIncremental(), session.WithDiskCache(disk))
-	if _, err := s.Graph(); err != nil {
-		t.Fatal(err)
-	}
-	if disk.Stats().Quarantines == before {
-		t.Fatal("garbage unit records were not quarantined")
-	}
-	depg, err := s.Depgraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := s.Stats()
-	if cold.Lowers != 0 || cold.UnitLowers != len(depg.Units) {
-		t.Fatalf("cold build did not lower via units: %+v (units %d)", cold, len(depg.Units))
-	}
-
-	srcs["alpha.mj"] = incAlphaEdited
-	s.Update("alpha.mj", incAlphaEdited)
-	if _, err := s.Graph(); err != nil {
-		t.Fatal(err)
-	}
-	warm := s.Stats()
-	if warm.Lowers != 0 || warm.UnitLowers-cold.UnitLowers != 1 || warm.UnitReuses-cold.UnitReuses != len(depg.Units)-1 {
-		t.Fatalf("edit after quarantine did not reuse units:\ncold %+v\nwarm %+v", cold, warm)
-	}
-	if warm.PointsTos != cold.PointsTos+1 || warm.DeltaSolves != 0 {
-		t.Fatalf("edit after quarantine did not re-solve points-to once:\ncold %+v\nwarm %+v", cold, warm)
-	}
-	assertMatchesColdBuild(t, s, srcs)
 }
 
 // tieredOutputs drives s through Graph, ModRef and a taint Dataflow and
@@ -256,11 +217,11 @@ func tieredOutputs(t *testing.T, s *session.Session) map[string][]byte {
 // disk tier warm enough that the next session builds nothing.
 func TestGarbageRecordsQuarantinedForEveryKind(t *testing.T) {
 	want := tieredOutputs(t, session.Open(taintSources()))
-	for _, kind := range []string{"depg", "unit", "ir", "pts", "sdg", "cha", "modref", "df"} {
+	for _, kind := range []string{"ir", "pts", "sdg", "cha", "modref", "df"} {
 		t.Run(kind, func(t *testing.T) {
 			disk := garbageDisk(t, taintSources(), kind)
 			before := disk.Stats().Quarantines
-			s := session.Open(taintSources(), session.WithIncremental(), session.WithDiskCache(disk))
+			s := session.Open(taintSources(), session.WithDiskCache(disk))
 			got := tieredOutputs(t, s)
 			for k := range want {
 				if !bytes.Equal(got[k], want[k]) {
@@ -271,7 +232,7 @@ func TestGarbageRecordsQuarantinedForEveryKind(t *testing.T) {
 				t.Errorf("garbage %s records were not quarantined", kind)
 			}
 
-			s2 := session.Open(taintSources(), session.WithIncremental(), session.WithDiskCache(disk))
+			s2 := session.Open(taintSources(), session.WithDiskCache(disk))
 			tieredOutputs(t, s2)
 			builds := s2.Stats()
 			builds.Parses, builds.PreludeParses, builds.Checks = 0, 0, 0

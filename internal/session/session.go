@@ -52,14 +52,13 @@ type Stats struct {
 	Parses        int // user source files parsed
 	PreludeParses int // times the container prelude was parsed (process-wide cache)
 	Checks        int // type checks
-	Lowers        int // whole-program SSA lowerings (non-incremental path)
-	Depgraphs     int // symbol dependency graph builds
-	UnitLowers    int // per-method lowering units derived fresh
-	UnitReuses    int // per-method lowering units reused from the store
-	PointsTos     int // pointer analyses (every session solves from scratch)
+	Lowers        int // SSA lowerings
+	Depgraphs     int // symbol dependency graph builds (Depgraph only)
+	UnitLowers    int // always 0: lowering has no per-method unit tier
+	UnitReuses    int // always 0: lowering has no per-method unit tier
+	PointsTos     int // pointer analyses
 	DeltaSolves   int // always 0: points-to has no incremental solver
-	SDGs          int // full dependence graph builds
-	DeltaSDGs     int // dependence graph rebuilds off the previous build's templates
+	SDGs          int // dependence graph builds
 	CHAs          int // class-hierarchy call graph builds
 	ModRefs       int // mod-ref computations
 	CSGraphs      int // context-sensitive SDG builds
@@ -67,15 +66,14 @@ type Stats struct {
 }
 
 type config struct {
-	objSens     bool
-	containers  []string
-	entries     []string
-	noPrelude   bool
-	verifyIR    bool
-	budget      *budget.Budget
-	store       *Store
-	disk        *diskstore.Cache
-	incremental bool
+	objSens    bool
+	containers []string
+	entries    []string
+	noPrelude  bool
+	verifyIR   bool
+	budget     *budget.Budget
+	store      *Store
+	disk       *diskstore.Cache
 }
 
 // Option configures Open.
@@ -109,20 +107,11 @@ func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b
 // them with every other session using that store.
 func InStore(st *Store) Option { return func(c *config) { c.store = st } }
 
-// WithIncremental turns on the session's keyed derivation graph: the
-// IR artifact is assembled from per-method lowering units addressed by
-// depgraph unit keys (so an edit re-lowers only its transitively
-// affected frontier), and the dependence graph retains its per-method
-// templates after each complete build so the next revision re-derives
-// only the changed methods' templates (sdg.BuildDelta), byte-identical
-// to a from-scratch build. Points-to is solved from scratch on every
-// revision, as in any other session. Retention costs memory
-// proportional to the last graph, so it is opt-in; thinslice watch and
-// the server's /watch stream open their sessions with it. Template
-// reuse engages only for unbudgeted sessions (a truncated graph would
-// poison every later one); budgeted sessions build every graph from
-// no templates.
-func WithIncremental() Option { return func(c *config) { c.incremental = true } }
+// WithIncremental is inert: every session runs the one pipeline, and an
+// edit rebuilds every artifact downstream of it, which measured faster
+// than re-lowering per method and reusing the last build's SDG
+// templates. It is kept only for callers that still pass it.
+func WithIncremental() Option { return func(*config) {} }
 
 // WithDiskCache layers a persistent disk tier under the in-memory
 // store: on a store miss the session first tries to decode the artifact
@@ -148,36 +137,6 @@ type Session struct {
 		srcs  map[string]string
 		key   Key
 	}
-	// last is the retained state of the most recent complete graph build
-	// of an incremental session; zero otherwise. Guarded by mu; the
-	// artifacts it points at are immutable.
-	last retained
-}
-
-// retained is what an incremental session keeps from its last complete
-// dependence graph build: the per-method SDG templates and the depgraph
-// of the revision they were built for, so the next build knows which
-// methods changed since. The templates are base-relative and
-// program-independent, so they may lag several revisions when Graph()
-// is queried less often than the source set changes.
-type retained struct {
-	sdgSt   *sdg.BuildState
-	sdgDepg *depgraph.Graph
-}
-
-// retainedState returns the retained-state record (zero when nothing
-// is retained).
-func (s *Session) retainedState() retained {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
-// retain replaces the retained-state record.
-func (s *Session) retain(r retained) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.last = r
 }
 
 // Open starts a session over the given sources (name → content). The
@@ -516,10 +475,8 @@ func (s *Session) parseFile(name, src string) ([]*ast.ClassDecl, error) {
 // Depgraph returns the cross-file symbol dependency graph of the
 // current source set: one unit per lowering job, keyed by a content
 // hash covering the unit's declaration and the deep fingerprints of
-// every class its lowering can observe. The incremental pipeline hangs
-// off it two ways: unit keys address per-method IR payloads in the
-// store, and Diff against the previous revision's graph yields the
-// changed-symbol frontier.
+// every class its lowering can observe. It is kept in memory only, and
+// nothing in the pipeline reads it.
 func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	info, err := s.Info()
 	if err != nil {
@@ -527,11 +484,8 @@ func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	}
 	_, _, srcKey := s.snapshot()
 	return lookup(s, artifact[*depgraph.Graph]{
-		phase:  budget.PhaseLoad,
-		key:    hashParts("depg", string(srcKey)),
-		kind:   "depg",
-		decode: depgraph.DecodeGraph,
-		encode: depgraph.EncodeGraph,
+		phase: budget.PhaseLoad,
+		key:   hashParts("depgraph", string(srcKey)),
 		build: func() (*depgraph.Graph, error) {
 			s.count(func(st *Stats) { st.Depgraphs++ })
 			return depgraph.Build(info), nil
@@ -539,84 +493,12 @@ func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	})
 }
 
-// unitArtifact describes one per-method IR payload. The depgraph unit
-// key already covers file content and referenced-symbol fingerprints,
-// so two revisions (or two sessions) containing an identical unit share
-// the entry — including a Remove followed by re-Adding the same file.
-// Decoding relinks the payload against info, so a record that could not
-// join the program is quarantined rather than failing the assembly.
-func unitArtifact(info *types.Info, u depgraph.Unit) artifact[[]byte] {
-	return artifact[[]byte]{
-		key:  hashParts("unit", u.Key),
-		kind: "unit",
-		decode: func(payload []byte) ([]byte, error) {
-			m, err := ir.DecodeUnit(payload, info)
-			if err == nil && m.Sig.QualifiedName() != u.QName {
-				err = fmt.Errorf("session: unit record for %s relinks to %s", u.QName, m.Sig.QualifiedName())
-			}
-			return payload, err
-		},
-		encode: func(payload []byte) ([]byte, error) { return payload, nil },
-	}
-}
-
-// lowerViaUnits assembles the program from per-method units: payloads
-// found in the store or fetched from the disk tier are cloned, every
-// other unit (the dirty frontier after an edit, all of them on a cold
-// build) is lowered fresh, and the fresh units are encoded and
-// published back to the store and disk tier. The result is
-// byte-identical to ir.Lower; nil means a unit failed to relink.
-func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) *ir.Program {
-	reuse := make(map[string][]byte, len(depg.Units))
-	for _, u := range depg.Units {
-		unit := unitArtifact(info, u)
-		if v, ok := s.cfg.store.peek(unit.key); ok {
-			reuse[u.QName] = v.([]byte)
-		} else if payload, ok := unit.fetch(s); ok {
-			reuse[u.QName] = payload
-			s.cfg.store.put(unit.key, payload)
-		}
-	}
-	prog, lst, err := ir.LowerUnits(info, reuse)
-	if err != nil {
-		return nil
-	}
-	s.count(func(st *Stats) {
-		st.UnitReuses += len(reuse)
-		st.UnitLowers += lst.Lowered
-	})
-	if len(prog.Diags) > 0 {
-		return prog // the caller surfaces the diagnostics; publish nothing
-	}
-	byQ := make(map[string]*ir.Method, len(prog.Methods))
-	for _, m := range prog.Methods {
-		byQ[m.Sig.QualifiedName()] = m
-	}
-	for _, u := range depg.Units {
-		if _, ok := reuse[u.QName]; ok {
-			continue
-		}
-		payload := ir.EncodeUnit(byQ[u.QName])
-		unit := unitArtifact(info, u)
-		s.cfg.store.put(unit.key, payload)
-		unit.publish(s, payload)
-	}
-	return prog
-}
-
 // Prog returns the SSA IR lowered from the typed program, verified
-// when the session was opened WithVerifyIR. Incremental sessions
-// assemble it from per-method units addressed by depgraph keys.
+// when the session was opened WithVerifyIR.
 func (s *Session) Prog() (*ir.Program, error) {
 	info, err := s.Info()
 	if err != nil {
 		return nil, err
-	}
-	var depg *depgraph.Graph
-	if s.cfg.incremental {
-		if depg, err = s.Depgraph(); err != nil {
-			return nil, err
-		}
 	}
 	_, _, srcKey := s.snapshot()
 	prog, err := lookup(s, artifact[*ir.Program]{
@@ -626,14 +508,8 @@ func (s *Session) Prog() (*ir.Program, error) {
 		decode: func(payload []byte) (*ir.Program, error) { return ir.DecodeProgram(payload, info) },
 		encode: ir.EncodeProgram,
 		build: func() (*ir.Program, error) {
-			var p *ir.Program
-			if depg != nil {
-				p = s.lowerViaUnits(info, depg)
-			}
-			if p == nil {
-				s.count(func(st *Stats) { st.Lowers++ })
-				p = ir.Lower(info)
-			}
+			s.count(func(st *Stats) { st.Lowers++ })
+			p := ir.Lower(info)
 			if len(p.Diags) > 0 {
 				return nil, p.Diags
 			}
@@ -665,14 +541,6 @@ func (s *Session) ptsKey() Key {
 		strconv.FormatBool(s.cfg.objSens),
 		strings.Join(s.cfg.containers, "\x00"),
 		strings.Join(s.cfg.entries, "\x00"))
-}
-
-// deltaCapable reports whether this session may build its dependence
-// graph off retained SDG templates: opted in, and unbudgeted (a budgeted
-// build could truncate, and a truncated graph must never seed the next
-// one).
-func (s *Session) deltaCapable() bool {
-	return s.cfg.incremental && s.cfg.budget == nil
 }
 
 // ptsConfig is the pointer-analysis configuration of this session over
@@ -713,9 +581,7 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 
 // Graph returns the dependence graph, metered by the session's budget.
 // Truncated graphs, and graphs over a truncated or degraded points-to
-// result, are not cached. Incremental sessions rebuild it off the
-// previous build's per-method templates, recomputing only the
-// points-to-derived edges; every other build starts from no templates.
+// result, are not cached.
 func (s *Session) Graph() (*sdg.Graph, error) {
 	pts, err := s.PointsTo()
 	if err != nil {
@@ -724,12 +590,6 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 	prog, err := s.Prog()
 	if err != nil {
 		return nil, err
-	}
-	var depg *depgraph.Graph
-	if s.cfg.incremental {
-		if depg, err = s.Depgraph(); err != nil {
-			return nil, err
-		}
 	}
 	return lookup(s, artifact[*sdg.Graph]{
 		phase:         budget.PhaseSDG,
@@ -740,31 +600,8 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 		partialInputs: partialPts(pts),
 		partial:       func(g *sdg.Graph) bool { return g.Truncated },
 		build: func() (*sdg.Graph, error) {
-			var prev *sdg.BuildState
-			var changed []string
-			if s.deltaCapable() {
-				last := s.retainedState()
-				if prev = last.sdgSt; prev != nil {
-					d := depgraph.Diff(last.sdgDepg, depg)
-					changed = append(append([]string(nil), d.Changed...), d.Added...)
-				}
-			}
-			s.count(func(st *Stats) {
-				if prev != nil {
-					st.DeltaSDGs++
-				} else {
-					st.SDGs++
-				}
-			})
-			graph, st, _, err := sdg.BuildDelta(prog, pts, prev, changed, s.cfg.budget)
-			if err != nil {
-				return nil, err
-			}
-			// Unbudgeted, so complete: safe to seed the next delta.
-			if s.deltaCapable() {
-				s.retain(retained{sdgSt: st, sdgDepg: depg})
-			}
-			return graph, nil
+			s.count(func(st *Stats) { st.SDGs++ })
+			return sdg.BuildBudget(prog, pts, s.cfg.budget)
 		},
 	})
 }

@@ -186,39 +186,6 @@ func (s *Store) get(k Key, p budget.Phase, build func() (any, bool, error)) (any
 	}
 }
 
-// peek returns the cached artifact for k if one is already completed,
-// without triggering or waiting on a build. Used by the incremental
-// lowering path to probe for per-unit payloads it can reuse.
-func (s *Store) peek(k Key) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok && e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-		s.stats.Hits++
-		return e.val, true
-	}
-	s.stats.Misses++
-	return nil, false
-}
-
-// put caches v under k if the key is absent (existing entries,
-// completed or in flight, win — artifacts are content-addressed, so a
-// racing value is identical). Used by the per-method unit tier, which
-// probes with peek and fills the store for a whole batch of units.
-func (s *Store) put(k Key, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[k]; ok {
-		return
-	}
-	e := &storeEntry{key: k, done: make(chan struct{}), val: v, ok: true, cost: estimateCost(v)}
-	close(e.done)
-	s.entries[k] = e
-	e.elem = s.lru.PushFront(e)
-	s.cost += e.cost
-	s.evictOverCap()
-}
-
 // runBuild executes build for the in-flight entry e, handling the
 // three outcomes: success (cache + evict over cap), failure or
 // uncacheable (vacate, waiters rebuild), and panic (vacate, waiters
@@ -311,8 +278,6 @@ func estimateCost(v any) int64 {
 		return base + int64(v.NumNodeFacts())*48
 	case *depgraph.Graph:
 		return base + int64(len(v.Units))*256
-	case []byte:
-		return base + int64(len(v))
 	case *cha.CallGraph:
 		return 16 << 10
 	case *modref.Result:

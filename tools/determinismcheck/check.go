@@ -44,20 +44,24 @@ func (f Finding) String() string {
 }
 
 // seedFunc reports whether fn is a determinism-critical entry point.
-// Besides the codec/printer family, the incremental entry points are
-// seeds: their outputs are contractually byte-identical to the full
-// builds they replace (depgraph unit keys and diffs, unit re-lowering,
-// the SDG builder), so a map-order dependence anywhere beneath them
-// breaks the equivalence oracle, not just a log line. The points-to
-// solver is a seed too, since the byte-identity oracles pin the result
-// it canonicalizes; it is matched by full name because a bare
-// "Analyze" would also seed analyzer.Analyze and everything it calls.
+// Besides the codec/printer family, the builders are seeds: lowering,
+// the points-to solver and the SDG builder produce the bytes the
+// byte-identity oracles pin, and the edit sweep compares an updated
+// session with a fresh one, so a map-order dependence anywhere beneath
+// them breaks an oracle, not just a log line; depgraph's Diff reports
+// sorted unit lists. The builders are matched by full name, so that a
+// function sharing a short name (analyzer.Analyze, or any other Lower
+// or Build) does not become a seed with everything it calls.
 func seedFunc(fn *types.Func) bool {
 	name := fn.Name()
+	switch fn.FullName() {
+	case "thinslice/internal/ir.Lower",
+		"thinslice/internal/analysis/pointsto.Analyze",
+		"thinslice/internal/sdg.BuildBudget":
+		return true
+	}
 	return name == "Fingerprint" || name == "Sprint" || name == "Fprint" ||
-		strings.HasPrefix(name, "Encode") ||
-		name == "Diff" || name == "LowerUnits" || name == "BuildDelta" ||
-		fn.FullName() == "thinslice/internal/analysis/pointsto.Analyze"
+		strings.HasPrefix(name, "Encode") || name == "Diff"
 }
 
 // checker loads and type-checks every package of one module from
