@@ -27,11 +27,11 @@ type HeapPair struct {
 func HeapPairs(g *sdg.Graph, sl *core.Slice) []HeapPair {
 	var out []HeapPair
 	for _, n := range sl.Nodes() {
-		for _, d := range g.Deps(n) {
+		g.EachDep(n, func(d sdg.Dep) {
 			if d.Kind == sdg.EdgeHeap && sl.ContainsNode(d.Src) {
 				out = append(out, HeapPair{Load: n, Store: d.Src})
 			}
-		}
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Load != out[j].Load {
@@ -216,16 +216,16 @@ func ControlExplanation(g *sdg.Graph, ins ir.Instr) []ir.Instr {
 	var out []ir.Instr
 	seen := make(map[ir.Instr]bool)
 	for _, n := range g.NodesOf(ins) {
-		for _, d := range g.Deps(n) {
+		g.EachDep(n, func(d sdg.Dep) {
 			if !d.Kind.IsControl() {
-				continue
+				return
 			}
 			src := g.InstrOf(d.Src)
 			if !seen[src] {
 				seen[src] = true
 				out = append(out, src)
 			}
-		}
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
@@ -341,7 +341,7 @@ func (e *Expansion) Step() bool {
 		}
 		ctx := e.g.CtxOf(n)
 		// Control: include the branches/calls and their producer chains.
-		for _, d := range e.g.Deps(n) {
+		e.g.EachDep(n, func(d sdg.Dep) {
 			switch {
 			case d.Kind.IsControl():
 				add(d.Src)
@@ -361,7 +361,7 @@ func (e *Expansion) Step() bool {
 				add(d.Src)
 				addSlice(e.thin.SliceNodes(d.Src))
 			}
-		}
+		})
 		if e.Filtered {
 			// Base-pointer flow of accesses with no matched store
 			// (e.g. the seed's own reads) still deserves an

@@ -48,13 +48,10 @@ func (s *Slicer) PathTo(target ir.Instr, seeds ...ir.Instr) []PathStep {
 		targetNodes.add(int(n))
 	}
 	var hit sdg.Node = sdg.NoNode
-	for head := 0; head < len(queue) && hit == sdg.NoNode; head++ {
-		n := queue[head]
-		if targetNodes.has(int(n)) {
-			hit = n
-			break
-		}
-		for _, d := range g.Deps(n) {
+	// own queues the sources of own edges; it reports whether a Via
+	// call site was the target.
+	own := func(n sdg.Node, deps []sdg.Dep) bool {
+		for _, d := range deps {
 			if !s.Follows(d.Kind) {
 				continue
 			}
@@ -65,12 +62,46 @@ func (s *Slicer) PathTo(target ir.Instr, seeds ...ir.Instr) []PathStep {
 					parents[d.Via] = parentEdge{prev: n, kind: d.Kind, via: sdg.NoNode}
 				}
 				hit = d.Via
-				break
+				return true
 			}
 			if inQueue.add(int(d.Src)) {
 				parents[d.Src] = parentEdge{prev: n, kind: d.Kind, via: d.Via}
 				queue = append(queue, d.Src)
 			}
+		}
+		return false
+	}
+	// walked holds the shared lists already walked: every source of one
+	// is queued by its first walk, so a later walk would queue nothing.
+	walked := newBitset(g.NumLists())
+	shared := func(n sdg.Node, list int32, srcs []sdg.Node, kind sdg.EdgeKind) {
+		if list < 0 || !walked.add(int(list)) {
+			return
+		}
+		for _, src := range srcs {
+			if inQueue.add(int(src)) {
+				parents[src] = parentEdge{prev: n, kind: kind, via: sdg.NoNode}
+				queue = append(queue, src)
+			}
+		}
+	}
+	control := s.Follows(sdg.EdgeControl)
+	for head := 0; head < len(queue) && hit == sdg.NoNode; head++ {
+		n := queue[head]
+		if targetNodes.has(int(n)) {
+			hit = n
+			break
+		}
+		r := g.Row(n)
+		if own(n, r.Scan) {
+			break
+		}
+		shared(n, r.HeapList, r.Heap, sdg.EdgeHeap)
+		if control {
+			if own(n, r.Ctrl) {
+				break
+			}
+			shared(n, r.CallList, r.Calls, sdg.EdgeCallControl)
 		}
 	}
 	if hit == sdg.NoNode {

@@ -201,9 +201,9 @@ func TestPropertyThinMembersProducerReachable(t *testing.T) {
 			for len(stack) > 0 {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, d := range a.Graph.Deps(sdg.Node(n)) {
+				a.Graph.EachDep(sdg.Node(n), func(d sdg.Dep) {
 					if !d.Kind.IsProducerFlow() {
-						continue
+						return
 					}
 					if d.Via >= 0 {
 						viaOK[int64(d.Via)] = true
@@ -212,7 +212,7 @@ func TestPropertyThinMembersProducerReachable(t *testing.T) {
 						reach[int64(d.Src)] = true
 						stack = append(stack, int64(d.Src))
 					}
-				}
+				})
 			}
 			for _, n := range sl.Nodes() {
 				if !reach[int64(n)] && !viaOK[int64(n)] {

@@ -223,17 +223,7 @@ func (s *Slicer) sliceFiltered(keep func(ir.Instr) bool, seeds []sdg.Node) *Slic
 		work = append(work, n)
 		return true
 	}
-	for _, seed := range seeds {
-		admit(seed, true)
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		deps := s.G.Deps(n)
-		if err := meter.TickN(1 + int64(len(deps))); err != nil {
-			sl.Truncated, sl.Err = true, err
-			return sl
-		}
+	own := func(deps []sdg.Dep) {
 		for _, d := range deps {
 			if !s.Follows(d.Kind) {
 				continue
@@ -249,6 +239,37 @@ func (s *Slicer) sliceFiltered(keep func(ir.Instr) bool, seeds []sdg.Node) *Slic
 					sl.instrs.add(s.G.InstrOf(d.Via).ID())
 				}
 			}
+		}
+	}
+	// walked holds the shared lists already walked. Walking one admits
+	// every source keep accepts, so walking it again admits nothing:
+	// skipping it changes neither the slice nor the admission order.
+	walked := newBitset(s.G.NumLists())
+	shared := func(list int32, srcs []sdg.Node) {
+		if list < 0 || !walked.add(int(list)) {
+			return
+		}
+		for _, src := range srcs {
+			admit(src, false)
+		}
+	}
+	control := s.Follows(sdg.EdgeControl)
+	for _, seed := range seeds {
+		admit(seed, true)
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		r := s.G.Row(n)
+		if err := meter.TickN(1 + int64(r.Len())); err != nil {
+			sl.Truncated, sl.Err = true, err
+			return sl
+		}
+		own(r.Scan)
+		shared(r.HeapList, r.Heap)
+		if control {
+			own(r.Ctrl)
+			shared(r.CallList, r.Calls)
 		}
 	}
 	return sl

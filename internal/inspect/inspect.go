@@ -151,13 +151,15 @@ func BFSBudget(s *core.Slicer, seeds []ir.Instr, desired map[Line]bool, budget B
 		if sess.done() {
 			break
 		}
-		for _, d := range g.Deps(st.n) {
+		// Every edge is walked, shared lists included: whether a push
+		// succeeds depends on the budget this path has spent.
+		g.EachDep(st.n, func(d sdg.Dep) {
 			switch {
 			case s.Follows(d.Kind):
 				if d.Via != sdg.NoNode {
 					sess.visit(d.Via)
 					if sess.done() {
-						break
+						return
 					}
 				}
 				push(d.Src, st.base, st.ctrl)
@@ -170,7 +172,7 @@ func BFSBudget(s *core.Slicer, seeds []ir.Instr, desired map[Line]bool, budget B
 				// explainer material covered by BaseHops.
 				push(d.Src, st.base, st.ctrl+1)
 			}
-		}
+		})
 	}
 	return sess.finish()
 }

@@ -14,11 +14,12 @@ package sdg
 // sequence, and each in-edge category of a node has exactly one
 // emitter: local/base edges come from the node's own instruction
 // (template order = EachUse order), param/return edges arrive in
-// (caller context, call instruction, canonical callee) order, heap
-// edges in heap-index append order (context, instruction), and control
-// edges from the node's own instruction's CDG rows. Contexts replay in
-// canonical order, so a build and every step-capped prefix of it agree
-// node by node — and therefore in Fingerprint and in the codec payload.
+// (caller context, call instruction, canonical callee) order, the heap
+// list in heap-index append order (context, instruction), and control
+// edges from the node's own instruction's CDG rows, then its context's
+// callers. Contexts replay in canonical order, so a build and every
+// step-capped prefix of it agree node by node — and therefore in
+// Fingerprint and in the codec payload.
 
 import (
 	"time"
@@ -92,17 +93,17 @@ func newMethodTemplate(m *ir.Method, first int) *methodTemplate {
 
 // replayScan replays one context's scan phase off its method template:
 // use edges, then call links. With h set (the count pass) it also
-// records the context's heap accesses and the caller lists; the fill
-// pass replays the edges alone.
-func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep), h *heapIndex) {
-	base := int(g.base[mc])
-	first := g.firstID[mc.Method]
+// records the context's heap accesses. record, when non-nil, sees every
+// (callee context, call site) pair.
+func (b *builder) replayScan(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep), h *heapIndex, record func(callee int, call Node)) {
+	g := b.g
+	base, first := int(g.base[mc.ID]), int(g.first[mc.ID])
 	for _, e := range t.uses {
 		add(Node(base+int(e.to)), Dep{Src: Node(base + int(e.src)), Kind: e.kind, Via: NoNode})
 	}
 	for _, local := range t.calls {
 		call := g.Prog.InstrByID(first + int(local)).(*ir.Call)
-		g.linkCall(mc, base-first, Node(base+int(local)), call, add, h != nil)
+		b.linkCall(mc, base-first, Node(base+int(local)), call, add, record)
 	}
 	if h == nil {
 		return
@@ -133,20 +134,12 @@ func (g *Graph) replayScan(mc *pointsto.MCtx, t *methodTemplate, add func(to Nod
 	}
 }
 
-// replayCtrl replays one context's control dependences off the
-// template. Per node, its EdgeControl rows precede its EdgeCallControl
-// rows (both come from the node's own instruction).
-func (g *Graph) replayCtrl(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep)) {
-	base := int(g.base[mc])
+// replayCtrl replays one context's intraprocedural control dependences
+// off the template.
+func (b *builder) replayCtrl(mc *pointsto.MCtx, t *methodTemplate, add func(to Node, d Dep)) {
+	base := int(b.g.base[mc.ID])
 	for _, e := range t.ctrl {
 		add(Node(base+int(e.to)), Dep{Src: Node(base + int(e.src)), Kind: EdgeControl, Via: NoNode})
-	}
-	callers := g.callerNodes[mc]
-	for _, local := range t.entry {
-		node := Node(base + int(local))
-		for _, caller := range callers {
-			add(node, Dep{Src: caller, Kind: EdgeCallControl, Via: NoNode})
-		}
 	}
 }
 
@@ -155,92 +148,140 @@ func (g *Graph) replayCtrl(mc *pointsto.MCtx, t *methodTemplate, add func(to Nod
 // first context is scanned, and replayed for every context.
 //
 // b meters the build (PhaseSDG: one step per instruction replayed, per
-// heap load paired and, under a step cap, per edge). A canceled context
-// or passed deadline aborts with *budget.ErrCanceled. An exhausted step
-// cap returns the partial graph flagged Truncated with a nil error:
-// every node is present, and every node's in-edges are a prefix of its
-// complete list. The cap cuts the same emission sequence on every run,
-// so truncation is deterministic.
+// heap load paired and, under a step cap, per logical edge, shared or
+// not). A canceled context or passed deadline aborts with
+// *budget.ErrCanceled. An exhausted step cap returns the partial graph
+// flagged Truncated with a nil error: every node is present, and every
+// node's logical row is a prefix of its complete row. The cap cuts the
+// same emission sequence on every run, so truncation is deterministic.
 //
-// Construction makes two passes over one emission sequence. The count
-// pass derives templates, records caller lists and heap accesses, and
-// counts each node's in-edges; the fill pass replays the sequence and
-// writes each edge straight into its final CSR slot, keeping per node
-// exactly the counted prefix.
+// Construction makes two passes over the own-edge sequence. The count
+// pass derives templates, counts each context's callers, records the
+// heap accesses, counts each node's own edges, builds every heap list
+// and points each row at its heap list and caller list; the fill pass
+// replays the scan and control phases and writes each own edge and
+// each caller straight into its final slot, keeping per node exactly
+// the counted prefix.
 func BuildBudget(prog *ir.Program, pts *pointsto.Result, b *budget.Budget) (*Graph, error) {
-	g, size := newGraph(prog, pts)
-	g.meter = b.Phase(budget.PhaseSDG)
+	bd := &builder{
+		meter:   b.Phase(budget.PhaseSDG),
+		capped:  b.Limited(budget.PhaseSDG),
+		returns: make(map[*ir.Method][]*ir.Return, len(prog.Methods)),
+	}
+	g := newGraph(prog, pts, bd.returns)
+	bd.g = g
 	tmplOf := make(map[*ir.Method]*methodTemplate, len(prog.Methods))
 
 	// Count pass: scan every context, then heap pairing, then control.
-	// Edges spend steps only under a step cap; without one, the
-	// per-context and per-load ticks poll for cancellation.
-	n := len(g.nodeCtx)
-	off := make([]int32, n+1)
-	count := func(to Node, _ Dep) { off[to+1]++ }
-	if b.Limited(budget.PhaseSDG) {
-		count = func(to Node, _ Dep) {
-			if g.tick() {
-				off[to+1]++
+	// Own edges spend steps only under a step cap; without one, the
+	// per-context and per-load ticks poll for cancellation. Node n's
+	// scan edges (segment 0) are counted in off[2n+1] and its control
+	// edges (segment 1) in off[2n+2].
+	n, numCtx := len(g.nodeCtx), len(g.mctxs)
+	off := make([]int32, 2*n+1)
+	counter := func(seg int) func(to Node, _ Dep) {
+		if bd.capped {
+			return func(to Node, _ Dep) {
+				if bd.tick() {
+					off[2*int(to)+seg+1]++
+				}
 			}
 		}
+		return func(to Node, _ Dep) { off[2*int(to)+seg+1]++ }
 	}
-	tmpls := make([]*methodTemplate, len(g.mctxs))
+	ncallers := make([]int32, numCtx)
+	countCaller := func(callee int, _ Node) { ncallers[callee]++ }
+	tmpls := make([]*methodTemplate, numCtx)
 	h := newHeapIndex()
+	countScan := counter(0)
 	for i, mc := range g.mctxs {
-		if !g.tickN(size[mc.Method]) {
+		if !bd.tickN(g.ctxSize(i)) {
 			break
 		}
 		t, ok := tmplOf[mc.Method]
 		if !ok {
-			t = newMethodTemplate(mc.Method, g.firstID[mc.Method])
+			t = newMethodTemplate(mc.Method, int(g.first[i]))
 			tmplOf[mc.Method] = t
 		}
 		tmpls[i] = t
-		g.replayScan(mc, t, count, h)
+		bd.replayScan(mc, t, countScan, h, countCaller)
 	}
-	g.emitHeap(h, g.tick, count)
+	// Caller lists come first among the lists, one per context in ID
+	// order; the fill pass writes their nodes.
+	g.lists = make([]span, numCtx)
+	total := int32(0)
+	for i, k := range ncallers {
+		g.lists[i] = span{total, k}
+		total += k
+	}
+	g.srcs = make([]Node, total)
+	g.refs = make([]refs, n)
+	for i := range g.refs {
+		g.refs[i] = refs{-1, -1}
+	}
+	bd.emitHeap(h)
+	countCtrl := counter(1)
 	for i, mc := range g.mctxs {
-		if g.stop != nil {
+		if bd.stop != nil {
 			break
 		}
-		g.replayCtrl(mc, tmpls[i], count)
-	}
-	if g.stop != nil {
-		if budget.IsCanceled(g.stop) {
-			return nil, g.stop
+		bd.replayCtrl(mc, tmpls[i], countCtrl)
+		if g.lists[i].n == 0 {
+			continue
 		}
-		g.Truncated, g.LimitErr = true, g.stop
+		for _, local := range tmpls[i].entry {
+			if bd.stop != nil {
+				break
+			}
+			g.refs[g.base[i]+local].calls = bd.refer(int32(i))
+		}
+	}
+	if bd.stop != nil {
+		if budget.IsCanceled(bd.stop) {
+			return nil, bd.stop
+		}
+		g.Truncated, g.LimitErr = true, bd.stop
 	}
 
-	// Fill pass: the same sequence over the recorded heap index and
-	// caller lists. Contexts the count pass never reached have no
-	// template and counted no edges.
+	// Fill pass: the scan and control sequence again, over the same
+	// contexts. Contexts the count pass never reached have no template
+	// and counted no edges.
 	start := time.Now()
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= 2*n; i++ {
 		off[i] += off[i-1]
 	}
-	deps := make([]Dep, off[n])
-	cur := make([]int32, n)
-	copy(cur, off[:n])
+	own := make([]Dep, off[2*n])
+	cur := make([]int32, 2*n)
+	copy(cur, off[:2*n])
 	g.csrBuild = time.Since(start)
-	place := func(to Node, d Dep) {
-		if cur[to] < off[to+1] {
-			deps[cur[to]] = d
-			cur[to]++
+	placer := func(seg int) func(to Node, d Dep) {
+		return func(to Node, d Dep) {
+			if s := 2*int(to) + seg; cur[s] < off[s+1] {
+				own[cur[s]] = d
+				cur[s]++
+			}
+		}
+	}
+	next := make([]int32, numCtx)
+	for i, l := range g.lists[:numCtx] {
+		next[i] = l.off
+	}
+	fillCaller := func(callee int, call Node) {
+		g.srcs[next[callee]] = call
+		next[callee]++
+	}
+	placeScan, placeCtrl := placer(0), placer(1)
+	for i, mc := range g.mctxs {
+		if tmpls[i] != nil {
+			bd.replayScan(mc, tmpls[i], placeScan, nil, fillCaller)
 		}
 	}
 	for i, mc := range g.mctxs {
 		if tmpls[i] != nil {
-			g.replayScan(mc, tmpls[i], place, nil)
+			bd.replayCtrl(mc, tmpls[i], placeCtrl)
 		}
 	}
-	g.emitHeap(h, nil, place)
-	for i, mc := range g.mctxs {
-		if tmpls[i] != nil {
-			g.replayCtrl(mc, tmpls[i], place)
-		}
-	}
-	g.csrOff, g.csrDeps, g.numEdges = off, deps, len(deps)
+	g.own, g.ownOff = own, off
+	g.numEdges += len(own)
 	return g, nil
 }

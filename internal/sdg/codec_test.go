@@ -11,12 +11,14 @@ package sdg_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"thinslice/internal/analysis/cha"
 	"thinslice/internal/analysis/modref"
 	"thinslice/internal/analysis/pointsto"
 	"thinslice/internal/artifact"
+	"thinslice/internal/bench"
 	"thinslice/internal/ir"
 	"thinslice/internal/lang/loader"
 	"thinslice/internal/lang/prelude"
@@ -167,7 +169,8 @@ func TestSDGDecodeRejectsCorruptPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := sdg.EncodeGraph(sdg.Build(prog, pts))
+	g := sdg.Build(prog, pts)
+	data, err := sdg.EncodeGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,134 +191,322 @@ func TestSDGDecodeRejectsCorruptPayloads(t *testing.T) {
 			sdg.DecodeGraph(mutated, prog, pts)
 		}()
 	}
-	// The patch itself is sound: the last kind is accepted.
-	if _, err := sdg.DecodeGraph(withFirstEdgeKind(t, data, prog, pts, uint64(sdg.EdgeCallControl)), prog, pts); err != nil {
-		t.Fatalf("edge kind %d rejected: %v", sdg.EdgeCallControl, err)
+	// The patch itself is sound: the last kind an own row may hold is
+	// accepted.
+	withKind := func(kind uint64) []byte {
+		p := modelOf(g)
+		for n := range p.rows {
+			if len(p.rows[n].own) > 0 && p.rows[n].ctrl == len(p.rows[n].own) {
+				p.rows[n].own[0].kind = kind
+				return p.bytes()
+			}
+		}
+		t.Fatal("graph has no row of scan edges")
+		return nil
+	}
+	if _, err := sdg.DecodeGraph(withKind(uint64(sdg.EdgeReturn)), prog, pts); err != nil {
+		t.Fatalf("edge kind %d rejected: %v", sdg.EdgeReturn, err)
 	}
 	// An edge kind past the last one must be rejected before it is
-	// narrowed: 2^32-1 would read as kind -1 and 2^32+2 as EdgeHeap.
-	for _, kind := range []uint64{uint64(sdg.EdgeCallControl) + 1, 1<<32 - 1, 1<<32 + uint64(sdg.EdgeHeap)} {
-		if _, err := sdg.DecodeGraph(withFirstEdgeKind(t, data, prog, pts, kind), prog, pts); err == nil {
+	// narrowed: 2^32-1 would read as kind -1 and 2^32+3 as EdgeParam.
+	for _, kind := range []uint64{uint64(sdg.EdgeCallControl) + 1, 1<<32 - 1, 1<<32 + uint64(sdg.EdgeParam)} {
+		if _, err := sdg.DecodeGraph(withKind(kind), prog, pts); err == nil {
 			t.Errorf("edge kind %d accepted", kind)
 		}
 	}
 }
 
-// withFirstEdgeKind returns data with the kind of its first dependence
-// replaced by kind, keeping the dependence's has-via bit.
-func withFirstEdgeKind(t *testing.T, data []byte, prog *ir.Program, pts *pointsto.Result, kind uint64) []byte {
-	t.Helper()
-	g, err := sdg.DecodeGraph(data, prog, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w artifact.Writer
-	w.Uvarint(uint64(g.NumNodes()))
-	w.Uvarint(uint64(g.NumEdges()))
-	for n := 0; n < g.NumNodes(); n++ {
-		deps := g.Deps(sdg.Node(n))
-		w.Uvarint(uint64(len(deps)))
-		if len(deps) > 0 {
-			w.Int64(int64(deps[0].Src) - int64(n))
-			at := len(w.Bytes()) // the kind's one-byte varint
-			var k artifact.Writer
-			k.Uvarint(kind<<1 | uint64(data[at]&1))
-			return append(append(append([]byte(nil), data[:at]...), k.Bytes()...), data[at+1:]...)
-		}
-	}
-	t.Fatal("graph has no edges")
-	return nil
+// payload is a test-side model of the version 4 sdg payload, written
+// by bytes exactly as EncodeGraph writes it (the out-of-range test
+// checks that first); the tests edit the model to build payloads
+// EncodeGraph never writes.
+type payload struct {
+	nodes   int
+	callers [][]int64 // per context
+	lists   [][]int64 // heap lists, in order of first reference
+	rows    []payloadRow
 }
 
-// encodeEdited writes g in the version 3 layout, as EncodeGraph does,
-// after rewriting one dependence or caller node: edit sees each
-// dependence, then editCaller each caller node, in order until one
-// returns true, having changed that one. It reports whether one did.
-func encodeEdited(g *sdg.Graph, edit func(d *sdg.Dep) bool, editCaller func(c *sdg.Node) bool) ([]byte, bool) {
-	var w artifact.Writer
-	w.Uvarint(uint64(g.NumNodes()))
-	w.Uvarint(uint64(g.NumEdges()))
-	edited := false
-	for n := 0; n < g.NumNodes(); n++ {
-		deps := g.Deps(sdg.Node(n))
-		w.Uvarint(uint64(len(deps)))
-		prev := int64(n)
-		for _, d := range deps {
-			if !edited && edit != nil {
-				edited = edit(&d)
-			}
-			w.Int64(int64(d.Src) - prev)
-			if d.Via == sdg.NoNode {
-				w.Uvarint(uint64(d.Kind) << 1)
-			} else {
-				w.Uvarint(uint64(d.Kind)<<1 | 1)
-				w.Int64(int64(d.Via) - int64(d.Src))
-			}
-			prev = int64(d.Src)
-		}
-	}
+type payloadRow struct {
+	ref   uint64 // 0 for no heap list, k+1 for list k
+	entry bool
+	own   []ownEdge
+	ctrl  int // index of the first control edge in own
+}
+
+type ownEdge struct {
+	src, via int64
+	kind     uint64
+	hasVia   bool
+}
+
+// modelOf reads g's factored rows into a payload model.
+func modelOf(g *sdg.Graph) *payload {
+	p := &payload{nodes: g.NumNodes()}
 	for _, mc := range g.Pts.MCtxs() {
-		callers := g.CallerNodes(mc)
-		w.Uvarint(uint64(len(callers)))
-		for _, c := range callers {
-			if !edited && editCaller != nil {
-				edited = editCaller(&c)
-			}
-			w.Int64(int64(c))
+		var cs []int64
+		for _, c := range g.CallerNodes(mc) {
+			cs = append(cs, int64(c))
 		}
+		p.callers = append(p.callers, cs)
 	}
-	return w.Bytes(), edited
+	index := make(map[int32]uint64)
+	for n := 0; n < g.NumNodes(); n++ {
+		r := g.Row(sdg.Node(n))
+		row := payloadRow{entry: r.CallList >= 0, ctrl: len(r.Scan)}
+		for _, d := range append(append([]sdg.Dep(nil), r.Scan...), r.Ctrl...) {
+			row.own = append(row.own, ownEdge{src: int64(d.Src), via: int64(d.Via), kind: uint64(d.Kind), hasVia: d.Via != sdg.NoNode})
+		}
+		if r.HeapList >= 0 {
+			k, ok := index[r.HeapList]
+			if !ok {
+				k = uint64(len(p.lists))
+				index[r.HeapList] = k
+				var srcs []int64
+				for _, src := range r.Heap {
+					srcs = append(srcs, int64(src))
+				}
+				p.lists = append(p.lists, srcs)
+			}
+			row.ref = k + 1
+		}
+		p.rows = append(p.rows, row)
+	}
+	return p
 }
 
-// TestDecodeGraphRejectsOutOfRangeNodes: a source, Via or caller node
-// outside the graph re-encodes to the same bytes, so the bit-flip sweep
-// cannot see it; the decoder must reject it before a slicer indexes by
-// it.
+// bytes writes the model, with a header counting what it holds.
+func (p *payload) bytes() []byte {
+	own, callers, listed := 0, 0, 0
+	for _, r := range p.rows {
+		own += len(r.own)
+	}
+	for _, cs := range p.callers {
+		callers += len(cs)
+	}
+	for _, l := range p.lists {
+		listed += len(l)
+	}
+	var w artifact.Writer
+	for _, v := range []int{p.nodes, own, callers, len(p.lists), listed} {
+		w.Uvarint(uint64(v))
+	}
+	for _, cs := range p.callers {
+		w.Uvarint(uint64(len(cs)))
+		for _, c := range cs {
+			w.Int64(c)
+		}
+	}
+	for _, l := range p.lists {
+		w.Uvarint(uint64(len(l)))
+		prev := int64(0)
+		for _, src := range l {
+			w.Int64(src - prev)
+			prev = src
+		}
+	}
+	for n, r := range p.rows {
+		rv := r.ref << 1
+		if r.entry {
+			rv |= 1
+		}
+		w.Uvarint(rv)
+		w.Uvarint(uint64(len(r.own)))
+		prev := int64(n)
+		for _, e := range r.own {
+			w.Int64(e.src - prev)
+			if e.hasVia {
+				w.Uvarint(e.kind<<1 | 1)
+				w.Int64(e.via - e.src)
+			} else {
+				w.Uvarint(e.kind << 1)
+			}
+			prev = e.src
+		}
+	}
+	return w.Bytes()
+}
+
+// TestDecodeGraphRejectsOutOfRangeNodes: a source, Via, caller or heap
+// list node outside the graph re-encodes to the same bytes, so the
+// bit-flip sweep cannot see it; the decoder must reject it before a
+// slicer indexes by it.
 func TestDecodeGraphRejectsOutOfRangeNodes(t *testing.T) {
-	for _, pg := range paperGraphs(t) {
+	for _, pg := range append(paperGraphs(t), nanoxmlGraph(t)) {
 		g, err := sdg.DecodeGraph(pg.enc, pg.prog, pg.pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc, _ := encodeEdited(g, nil, nil); !bytes.Equal(enc, pg.enc) {
-			t.Fatalf("%s: the test's encoder disagrees with EncodeGraph", pg.name)
+		if !bytes.Equal(modelOf(g).bytes(), pg.enc) {
+			t.Fatalf("%s: the test's model disagrees with EncodeGraph", pg.name)
 		}
-		total := sdg.Node(g.NumNodes())
-		setVia := func(v sdg.Node) func(d *sdg.Dep) bool {
-			return func(d *sdg.Dep) bool {
-				if d.Via == sdg.NoNode {
+		total := int64(g.NumNodes())
+		firstEdge := func(edit func(e *ownEdge) bool) func(p *payload) bool {
+			return func(p *payload) bool {
+				for n := range p.rows {
+					for i := range p.rows[n].own {
+						if edit(&p.rows[n].own[i]) {
+							return true
+						}
+					}
+				}
+				return false
+			}
+		}
+		setVia := func(v int64) func(p *payload) bool {
+			return firstEdge(func(e *ownEdge) bool {
+				if !e.hasVia {
 					return false
 				}
-				d.Via = v
+				e.via = v
 				return true
+			})
+		}
+		firstOf := func(lists func(p *payload) [][]int64, v int64) func(p *payload) bool {
+			return func(p *payload) bool {
+				for _, l := range lists(p) {
+					if len(l) > 0 {
+						l[0] = v
+						return true
+					}
+				}
+				return false
 			}
 		}
-		setCaller := func(v sdg.Node) func(c *sdg.Node) bool {
-			return func(c *sdg.Node) bool { *c = v; return true }
-		}
-		for name, edit := range map[string]struct {
-			dep    func(d *sdg.Dep) bool
-			caller func(c *sdg.Node) bool
+		callers := func(p *payload) [][]int64 { return p.callers }
+		heapLists := func(p *payload) [][]int64 { return p.lists }
+		for _, c := range []struct {
+			name string
+			edit func(p *payload) bool
 		}{
-			"source -1":    {dep: func(d *sdg.Dep) bool { d.Src = sdg.NoNode; return true }},
-			"source past":  {dep: func(d *sdg.Dep) bool { d.Src = total; return true }},
-			"via past":     {dep: setVia(total)},
-			"via below -1": {dep: setVia(-2)},
-			"caller -1":    {caller: setCaller(sdg.NoNode)},
-			"caller past":  {caller: setCaller(total)},
+			{"source -1", firstEdge(func(e *ownEdge) bool { e.src = -1; return true })},
+			{"source past", firstEdge(func(e *ownEdge) bool { e.src = total; return true })},
+			{"via past", setVia(total)},
+			{"via below -1", setVia(-2)},
+			{"caller -1", firstOf(callers, -1)},
+			{"caller past", firstOf(callers, total)},
+			{"heap source -1", firstOf(heapLists, -1)},
+			{"heap source past", firstOf(heapLists, total)},
 		} {
-			enc, edited := encodeEdited(g, edit.dep, edit.caller)
-			if !edited {
-				t.Fatalf("%s: no dependence to give a %s", pg.name, name)
+			p := modelOf(g)
+			if !c.edit(p) {
+				t.Fatalf("%s: no place for a %s", pg.name, c.name)
 			}
-			if _, err := sdg.DecodeGraph(enc, pg.prog, pg.pts); err == nil {
-				t.Errorf("%s: %s accepted", pg.name, name)
+			if _, err := sdg.DecodeGraph(p.bytes(), pg.prog, pg.pts); err == nil {
+				t.Errorf("%s: %s accepted", pg.name, c.name)
 			}
 		}
 	}
 }
 
-// paperGraph is one paper figure's program, points-to result and SDG
+// TestDecodeGraphRejectsNonFactoredPayloads: each payload below is
+// well formed byte by byte, and each would decode to a graph whose
+// re-encoding differs or whose rows break the factored layout the
+// slicers rely on, so DecodeGraph must reject it, naming the fault.
+// Each edit applies to nanoxml@1's payload.
+func TestDecodeGraphRejectsNonFactoredPayloads(t *testing.T) {
+	pg := nanoxmlGraph(t)
+	g, err := sdg.DecodeGraph(pg.enc, pg.prog, pg.pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstRef returns the row that first references list k.
+	firstRef := func(p *payload, k uint64) int {
+		for n, r := range p.rows {
+			if r.ref == k+1 {
+				return n
+			}
+		}
+		return -1
+	}
+	noCallers := -1 // a node whose context has no callers
+	for n := 0; n < g.NumNodes() && noCallers < 0; n++ {
+		if len(g.CallerNodes(g.CtxOf(sdg.Node(n)))) == 0 {
+			noCallers = n
+		}
+	}
+	cases := []struct {
+		name, want string
+		edit       func(p *payload) bool
+	}{
+		{"list reference past the declared lists", "names heap list", func(p *payload) bool {
+			p.rows[firstRef(p, uint64(len(p.lists)-1))].ref = uint64(len(p.lists)) + 1
+			p.lists = p.lists[:len(p.lists)-1]
+			return true
+		}},
+		{"list reference skipping ahead", "names heap list", func(p *payload) bool {
+			if len(p.lists) < 2 {
+				return false
+			}
+			// Swap the first references of lists 0 and 1 without
+			// reordering the lists.
+			a, b := firstRef(p, 0), firstRef(p, 1)
+			p.rows[a].ref, p.rows[b].ref = 2, 1
+			return true
+		}},
+		{"declared list no row references", "rows reference", func(p *payload) bool {
+			p.lists = append(p.lists, []int64{0})
+			return true
+		}},
+		{"empty list", "has 0 sources", func(p *payload) bool {
+			// Referenced after every other list's first reference.
+			for n := firstRef(p, uint64(len(p.lists)-1)) + 1; n < len(p.rows); n++ {
+				if p.rows[n].ref == 0 {
+					p.lists = append(p.lists, nil)
+					p.rows[n].ref = uint64(len(p.lists))
+					return true
+				}
+			}
+			return false
+		}},
+		{"heap edge in an own row", "heap edge in its own row", func(p *payload) bool {
+			return setFirstKind(p, sdg.EdgeHeap)
+		}},
+		{"call-control edge in an own row", "call-control edge in its own row", func(p *payload) bool {
+			return setFirstKind(p, sdg.EdgeCallControl)
+		}},
+		{"non-control edge after a control edge", "after a control edge", func(p *payload) bool {
+			for n := range p.rows {
+				if r := &p.rows[n]; r.ctrl < len(r.own) {
+					r.own = append(r.own, ownEdge{src: r.own[r.ctrl].src, kind: uint64(sdg.EdgeLocal)})
+					return true
+				}
+			}
+			return false
+		}},
+		{"entry flag in a context without callers", "which has none", func(p *payload) bool {
+			if noCallers < 0 {
+				return false
+			}
+			p.rows[noCallers].entry = true
+			return true
+		}},
+	}
+	for _, c := range cases {
+		p := modelOf(g)
+		if !c.edit(p) {
+			t.Fatalf("%s: nanoxml@1 has no place for this edit", c.name)
+		}
+		_, err := sdg.DecodeGraph(p.bytes(), pg.prog, pg.pts)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// setFirstKind gives the first own edge of a row without control edges
+// kind k, dropping its Via.
+func setFirstKind(p *payload, k sdg.EdgeKind) bool {
+	for n := range p.rows {
+		if r := &p.rows[n]; len(r.own) > 0 && r.ctrl == len(r.own) {
+			r.own[0] = ownEdge{src: r.own[0].src, kind: uint64(k)}
+			return true
+		}
+	}
+	return false
+}
+
+// paperGraph is one program's lowering, points-to result and SDG
 // payload.
 type paperGraph struct {
 	name string
@@ -324,26 +515,37 @@ type paperGraph struct {
 	enc  []byte
 }
 
+func graphOf(tb testing.TB, name string, srcs map[string]string) paperGraph {
+	tb.Helper()
+	info, err := loader.Load(srcs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := ir.Lower(info)
+	pts, err := pointsto.Analyze(prog, pointsto.Config{ObjSensContainers: true, ContainerClasses: prelude.ContainerClasses})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := sdg.EncodeGraph(sdg.Build(prog, pts))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return paperGraph{name, prog, pts, enc}
+}
+
 func paperGraphs(tb testing.TB) []paperGraph {
 	tb.Helper()
 	var out []paperGraph
 	for _, name := range []string{"firstnames", "toy", "filebug", "toughcast"} {
-		info, err := loader.Load(chainSources()[name])
-		if err != nil {
-			tb.Fatal(err)
-		}
-		prog := ir.Lower(info)
-		pts, err := pointsto.Analyze(prog, pointsto.Config{ObjSensContainers: true, ContainerClasses: prelude.ContainerClasses})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		enc, err := sdg.EncodeGraph(sdg.Build(prog, pts))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, paperGraph{name, prog, pts, enc})
+		out = append(out, graphOf(tb, name, chainSources()[name]))
 	}
 	return out
+}
+
+// nanoxmlGraph is nanoxml@1's graph, whose rows share heap lists and
+// callers.
+func nanoxmlGraph(tb testing.TB) paperGraph {
+	return graphOf(tb, "nanoxml@1", bench.Generate("nanoxml", 1).Sources)
 }
 
 // TestDecodeGraphAcceptsOnlyCanonicalPayloads flips every bit of each
@@ -383,19 +585,23 @@ func TestDecodeGraphAcceptsOnlyCanonicalPayloads(t *testing.T) {
 // FuzzDecodeGraph decodes arbitrary bytes against one of the paper
 // figures' programs, chosen by which. Decoding must not panic, an
 // accepted payload must re-encode to itself, and a header declaring
-// more edges than the remaining bytes can hold at two bytes each must
-// be rejected before the decoder lays out the graph or its edge array.
+// more own edges, callers, lists or listed sources than the remaining
+// bytes can hold must be rejected before the decoder lays out the
+// graph or allocates anything for them.
 func FuzzDecodeGraph(f *testing.F) {
 	pgs := paperGraphs(f)
 	for i, pg := range pgs {
 		f.Add(uint8(i), pg.enc)
-		// The same rows under a header declaring one edge more than
-		// their bytes can hold.
-		_, n := binary.Uvarint(pg.enc)
-		_, m := binary.Uvarint(pg.enc[n:])
-		rows := pg.enc[n+m:]
-		oversized := binary.AppendUvarint(append([]byte(nil), pg.enc[:n]...), uint64(len(rows)/2+1))
-		f.Add(uint8(i), append(oversized, rows...))
+		// The same body under a header declaring one own edge more
+		// than its bytes can hold, and under one declaring more lists.
+		h := readHeader(pg.enc)
+		body := pg.enc[h.size:]
+		for _, over := range []header{
+			{h.nodes, uint64(len(body))/2 + 1, h.callers, h.lists, h.listed, 0},
+			{h.nodes, h.own, h.callers, uint64(len(body)) + 1, h.listed, 0},
+		} {
+			f.Add(uint8(i), append(over.bytes(), body...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		pg := pgs[int(which)%len(pgs)]
@@ -409,30 +615,56 @@ func FuzzDecodeGraph(f *testing.F) {
 				t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, data)
 			}
 		}
-		if !oversizedEdgeCount(data) {
+		if !readHeader(data).oversized(len(data)) {
 			return
 		}
 		if err == nil {
-			t.Fatal("accepted a header declaring more edges than its bytes can hold")
+			t.Fatal("accepted a header declaring more than its bytes can hold")
 		}
-		// Rejecting the header formats one error. Laying out even the
+		// Rejecting the header allocates one error. Laying out even the
 		// smallest figure's node scaffolding takes dozens of allocations.
 		if allocs := testing.AllocsPerRun(1, func() { sdg.DecodeGraph(data, pg.prog, pg.pts) }); allocs > 8 {
-			t.Fatalf("rejecting an oversized edge count took %.0f allocations", allocs)
+			t.Fatalf("rejecting an oversized count took %.0f allocations", allocs)
 		}
 	})
 }
 
-// oversizedEdgeCount reports whether data's header parses and declares
-// more edges than the bytes after it can hold at two bytes per edge.
-func oversizedEdgeCount(data []byte) bool {
-	_, n := binary.Uvarint(data)
-	if n <= 0 {
+// header is a payload's five leading counts; size is their byte
+// length, 0 when they do not parse.
+type header struct {
+	nodes, own, callers, lists, listed uint64
+	size                               int
+}
+
+func readHeader(data []byte) header {
+	var v [5]uint64
+	at := 0
+	for i := range v {
+		x, n := binary.Uvarint(data[at:])
+		if n <= 0 {
+			return header{}
+		}
+		v[i], at = x, at+n
+	}
+	return header{v[0], v[1], v[2], v[3], v[4], at}
+}
+
+func (h header) bytes() []byte {
+	var w artifact.Writer
+	for _, v := range []uint64{h.nodes, h.own, h.callers, h.lists, h.listed} {
+		w.Uvarint(v)
+	}
+	return w.Bytes()
+}
+
+// oversized reports whether h parsed and declares more than the bytes
+// after it, in a payload of total bytes, can hold: two per own edge and
+// one per caller, list and listed source.
+func (h header) oversized(total int) bool {
+	if h.size == 0 {
 		return false
 	}
-	edges, m := binary.Uvarint(data[n:])
-	if m <= 0 {
-		return false
-	}
-	return edges > uint64(len(data)-n-m)/2
+	left := uint64(total - h.size)
+	return h.own > left/2 || h.callers > left || h.lists > left || h.listed > left ||
+		2*h.own+h.callers+h.lists+h.listed > left
 }

@@ -6,22 +6,48 @@ package sdg
 func CorruptForTest(g *Graph, name string) bool {
 	switch name {
 	case "offset-nonmonotone":
-		if len(g.csrOff) < 2 {
+		if len(g.ownOff) < 2 {
 			return false
 		}
-		g.csrOff[len(g.csrOff)-1] = g.csrOff[len(g.csrOff)-2] - 1
+		g.ownOff[len(g.ownOff)-1] = g.ownOff[len(g.ownOff)-2] - 1
 		return true
 	case "dep-out-of-bounds":
-		if len(g.csrDeps) == 0 {
+		if len(g.own) == 0 {
 			return false
 		}
-		g.csrDeps[0].Src = Node(g.NumNodes())
+		g.own[0].Src = Node(g.NumNodes())
+		return true
+	case "shared-out-of-bounds":
+		if len(g.srcs) == 0 {
+			return false
+		}
+		g.srcs[len(g.srcs)-1] = Node(g.NumNodes())
 		return true
 	case "via-on-local":
-		for i := range g.csrDeps {
-			if g.csrDeps[i].Kind == EdgeLocal {
-				g.csrDeps[i].Via = 0
+		for i := range g.own {
+			if g.own[i].Kind == EdgeLocal {
+				g.own[i].Via = 0
 				return true
+			}
+		}
+		return false
+	case "control-in-scan":
+		for n := range g.refs {
+			if s, c := g.ownOff[2*n+1], g.ownOff[2*n+2]; c > s {
+				g.ownOff[2*n+1] = c // the control edges join the scan segment
+				return true
+			}
+		}
+		return false
+	case "calls-of-other-context":
+		for n, ref := range g.refs {
+			if ref.calls >= 0 {
+				for c := range g.mctxs {
+					if int32(c) != ref.calls && g.lists[c].n > 0 {
+						g.refs[n].calls = int32(c)
+						return true
+					}
+				}
 			}
 		}
 		return false
@@ -29,7 +55,7 @@ func CorruptForTest(g *Graph, name string) bool {
 		if len(g.nodeCtx) == 0 {
 			return false
 		}
-		g.nodeCtx[len(g.nodeCtx)-1] = nil
+		g.nodeCtx[len(g.nodeCtx)-1] = -1
 		return true
 	}
 	return false

@@ -11,6 +11,14 @@
 // Following §5.2, heap dependences are direct interprocedural edges
 // from stores to may-aliased loads, avoiding the heap parameters that
 // make the context-sensitive SDG (§5.3, package csslice) blow up.
+//
+// The graph stores those edges factored. Loads that pair on the same
+// key (a field and a one-word points-to set, one static field) depend
+// on the same stores, and every statement that always executes on a
+// method's entry depends on the same call sites, so each such list is
+// stored once and referenced from every row that contains it. On
+// javac@5 the 1,225,042 logical edges take 19,252 own edges and 2,493
+// shared heap sources.
 package sdg
 
 import (
@@ -26,8 +34,7 @@ import (
 	"thinslice/internal/ir"
 )
 
-// EdgeKind classifies a dependence edge. (int32 keeps Dep at 12 bytes
-// — the CSR edge array is the graph's dominant allocation.)
+// EdgeKind classifies a dependence edge. (int32 keeps Dep at 12 bytes.)
 type EdgeKind int32
 
 // Edge kinds. Thin slices traverse Local/Heap/Param/Return flow;
@@ -106,7 +113,23 @@ type Dep struct {
 	Via  Node
 }
 
+// span is one shared list: srcs[off : off+n].
+type span struct{ off, n int32 }
+
+// refs names a node's two shared lists, each an index into lists or -1.
+type refs struct{ heap, calls int32 }
+
 // Graph is the dependence graph, stored as in-edges per node.
+//
+// A node's logical row, the sequence EachDep yields, is its own scan
+// edges (local, base, param, return), then its heap list, then its own
+// control edges, then its context's callers when the node executes on
+// every entry to its method. Own edges are compressed sparse rows:
+// node n's scan edges are own[ownOff[2n]:ownOff[2n+1]] and its control
+// edges own[ownOff[2n+1]:ownOff[2n+2]]. Shared lists are spans of
+// srcs. Lists 0 to len(mctxs)-1 are the contexts' caller lists in MCtx
+// ID order, so they form one CSR keyed by context ID; the heap lists
+// follow, each stored once for every load that pairs with it.
 type Graph struct {
 	Prog *ir.Program
 	Pts  *pointsto.Result
@@ -118,26 +141,18 @@ type Graph struct {
 	Truncated bool
 	LimitErr  error
 
-	meter *budget.Meter
-	stop  error
-	// CSR (compressed sparse row) in-edge layout: node n's dependences
-	// are csrDeps[csrOff[n]:csrOff[n+1]]. A flat layout keeps the
-	// backward closure's inner loop on one contiguous array instead of
-	// chasing per-node slice headers.
-	csrOff   []int32
-	csrDeps  []Dep
-	csrBuild time.Duration
-	mctxs    []*pointsto.MCtx
-	base     map[*pointsto.MCtx]int32 // first node of each context
-	nodeCtx  []*pointsto.MCtx         // dense: node → context (one entry per node)
-	firstID  map[*ir.Method]int       // first instruction ID of each method
+	own      []Dep
+	ownOff   []int32
+	refs     []refs
+	lists    []span
+	srcs     []Node
 	numEdges int
-	// callerNodes are the call-site nodes that may invoke a context.
-	callerNodes map[*pointsto.MCtx][]Node
-	// returns caches each method's Return instructions: linkCall needs
-	// them once per (call site, callee context) pair, and re-walking
-	// the whole callee body every time is quadratic in practice.
-	returns map[*ir.Method][]*ir.Return
+	csrBuild time.Duration
+
+	mctxs   []*pointsto.MCtx
+	base    []int32 // per context ID: its first node
+	first   []int32 // per context ID: its method's first instruction ID
+	nodeCtx []int32 // per node: its context ID
 }
 
 // NumNodes returns the number of statement instances (the paper's
@@ -145,15 +160,78 @@ type Graph struct {
 // without heap parameters).
 func (g *Graph) NumNodes() int { return len(g.nodeCtx) }
 
-// NumEdges returns the number of dependence edges.
+// NumEdges returns the number of logical dependence edges, counting a
+// shared list once for every row that contains it.
 func (g *Graph) NumEdges() int { return g.numEdges }
 
-// Deps returns the dependences of node n, in construction order (a
-// view into the CSR edge array; callers must not mutate it).
-func (g *Graph) Deps(n Node) []Dep { return g.csrDeps[g.csrOff[n]:g.csrOff[n+1]] }
+// NumLists returns the number of shared lists, the range of
+// Row.HeapList and Row.CallList.
+func (g *Graph) NumLists() int { return len(g.lists) }
 
-// CSRBuildDuration reports how long the build spent laying out the CSR
-// arrays between its count and fill passes (the bench harness's
+// Row is one node's dependences in factored form. Its logical sequence
+// is Scan, then Heap as EdgeHeap edges, then Ctrl, then Calls as
+// EdgeCallControl edges; shared edges carry no Via. The slices are
+// views into the graph; callers must not mutate them.
+type Row struct {
+	Scan  []Dep  // own local, base, param and return edges
+	Heap  []Node // sources of the node's heap list
+	Ctrl  []Dep  // own EdgeControl edges
+	Calls []Node // the call sites its context's entry depends on
+
+	// HeapList and CallList name Heap and Calls among the graph's
+	// NumLists shared lists, or are -1 when the list is empty. Rows
+	// naming the same list hold the same sources; a list a step cap
+	// cut short has a name of its own.
+	HeapList, CallList int32
+}
+
+// Len returns the number of logical edges in r.
+func (r *Row) Len() int { return len(r.Scan) + len(r.Heap) + len(r.Ctrl) + len(r.Calls) }
+
+// Row returns node n's dependences in factored form.
+func (g *Graph) Row(n Node) Row {
+	i := 2 * int(n)
+	o := g.ownOff[i : i+3]
+	ref := g.refs[n]
+	return Row{
+		Scan:     g.own[o[0]:o[1]],
+		Ctrl:     g.own[o[1]:o[2]],
+		Heap:     g.list(ref.heap),
+		Calls:    g.list(ref.calls),
+		HeapList: ref.heap,
+		CallList: ref.calls,
+	}
+}
+
+// list returns the sources of list i, or nil for i < 0.
+func (g *Graph) list(i int32) []Node {
+	if i < 0 {
+		return nil
+	}
+	l := g.lists[i]
+	return g.srcs[l.off : l.off+l.n]
+}
+
+// EachDep calls f with every dependence of node n, in the logical
+// order: own scan edges, heap list, own control edges, callers.
+func (g *Graph) EachDep(n Node, f func(Dep)) {
+	r := g.Row(n)
+	for _, d := range r.Scan {
+		f(d)
+	}
+	for _, src := range r.Heap {
+		f(Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
+	}
+	for _, d := range r.Ctrl {
+		f(d)
+	}
+	for _, src := range r.Calls {
+		f(Dep{Src: src, Kind: EdgeCallControl, Via: NoNode})
+	}
+}
+
+// CSRBuildDuration reports how long the build spent laying out the own
+// edge arrays between its count and fill passes (the bench harness's
 // csr_build_us column); zero for a decoded graph.
 func (g *Graph) CSRBuildDuration() time.Duration { return g.csrBuild }
 
@@ -161,63 +239,67 @@ func (g *Graph) CSRBuildDuration() time.Duration { return g.csrBuild }
 // contexts in MCtx ID order, each owning one node per instruction of
 // its method, numbered in instruction order from the context's base.
 // The builder and DecodeGraph share it, so a decoded graph numbers its
-// nodes exactly as the build that encoded it. size maps each method to
-// its instruction count.
-func newGraph(prog *ir.Program, pts *pointsto.Result) (g *Graph, size map[*ir.Method]int) {
-	g = &Graph{
-		Prog:        prog,
-		Pts:         pts,
-		base:        make(map[*pointsto.MCtx]int32),
-		firstID:     make(map[*ir.Method]int, len(prog.Methods)),
-		callerNodes: make(map[*pointsto.MCtx][]Node),
-		returns:     make(map[*ir.Method][]*ir.Return, len(prog.Methods)),
-	}
-	// One walk per method collects everything the layout and linkCall
-	// need; contexts then reuse the per-method numbers instead of
-	// re-walking bodies once per clone.
-	size = make(map[*ir.Method]int, len(prog.Methods))
+// nodes exactly as the build that encoded it. A non-nil returns map
+// receives each method's Return instructions from the same walk.
+func newGraph(prog *ir.Program, pts *pointsto.Result, returns map[*ir.Method][]*ir.Return) *Graph {
+	type extent struct{ first, size int }
+	ext := make(map[*ir.Method]extent, len(prog.Methods))
 	for _, m := range prog.Methods {
-		first, n := -1, 0
+		e := extent{first: -1}
 		var rets []*ir.Return
 		m.Instrs(func(ins ir.Instr) {
-			if first < 0 {
-				first = ins.ID()
+			if e.first < 0 {
+				e.first = ins.ID()
 			}
-			n++
-			if ret, ok := ins.(*ir.Return); ok {
+			e.size++
+			if ret, ok := ins.(*ir.Return); ok && returns != nil {
 				rets = append(rets, ret)
 			}
 		})
-		g.firstID[m], g.returns[m], size[m] = first, rets, n
-	}
-	g.mctxs = pts.MCtxs()
-	total := 0
-	for _, mc := range g.mctxs {
-		g.base[mc] = int32(total)
-		total += size[mc.Method]
-	}
-	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
-	for _, mc := range g.mctxs {
-		for range size[mc.Method] {
-			g.nodeCtx = append(g.nodeCtx, mc)
+		ext[m] = e
+		if returns != nil {
+			returns[m] = rets
 		}
 	}
-	return g, size
+	g := &Graph{Prog: prog, Pts: pts, mctxs: pts.MCtxs()}
+	g.base = make([]int32, len(g.mctxs))
+	g.first = make([]int32, len(g.mctxs))
+	total := 0
+	for i, mc := range g.mctxs {
+		e := ext[mc.Method]
+		g.base[i], g.first[i] = int32(total), int32(e.first)
+		total += e.size
+	}
+	g.nodeCtx = make([]int32, 0, total)
+	for i, mc := range g.mctxs {
+		for range ext[mc.Method].size {
+			g.nodeCtx = append(g.nodeCtx, int32(i))
+		}
+	}
+	return g
+}
+
+// ctxSize returns the number of nodes of context i.
+func (g *Graph) ctxSize(i int) int {
+	end := len(g.nodeCtx)
+	if i+1 < len(g.base) {
+		end = int(g.base[i+1])
+	}
+	return end - int(g.base[i])
 }
 
 // CtxOf returns the call-graph context of n.
-func (g *Graph) CtxOf(n Node) *pointsto.MCtx { return g.nodeCtx[n] }
+func (g *Graph) CtxOf(n Node) *pointsto.MCtx { return g.mctxs[g.nodeCtx[n]] }
 
 // InstrOf returns the instruction of n.
 func (g *Graph) InstrOf(n Node) ir.Instr {
-	mc := g.nodeCtx[n]
-	local := int(n) - int(g.base[mc])
-	return g.Prog.InstrByID(g.firstID[mc.Method] + local)
+	c := g.nodeCtx[n]
+	return g.Prog.InstrByID(int(g.first[c] + int32(n) - g.base[c]))
 }
 
-// NodeOf returns the node for an instruction in a specific context.
+// NodeOf returns the node for an instruction of mc's method in mc.
 func (g *Graph) NodeOf(mc *pointsto.MCtx, ins ir.Instr) Node {
-	return Node(int(g.base[mc]) + ins.ID() - g.firstID[ins.Block().Method])
+	return Node(int(g.base[mc.ID]) + ins.ID() - int(g.first[mc.ID]))
 }
 
 // NodesOf returns all statement instances of an instruction (one per
@@ -237,10 +319,10 @@ func (g *Graph) Reachable(m *ir.Method) bool {
 }
 
 // CallerNodes returns the call-site nodes that may invoke context mc.
-func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.callerNodes[mc] }
+func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.list(int32(mc.ID)) }
 
 // Fingerprint returns a sha256 digest of the graph's full structure —
-// every node's ordered dependence list, the per-context caller-node
+// every node's logical dependence sequence, the per-context caller-node
 // lists, and the edge count. Two builds of the same program, and a
 // build and its decoded copy, must produce identical fingerprints; the
 // equivalence tests pin exactly that.
@@ -254,16 +336,16 @@ func (g *Graph) Fingerprint() string {
 	wr(int64(len(g.nodeCtx)))
 	wr(int64(g.numEdges))
 	for n := range g.nodeCtx {
-		deps := g.Deps(Node(n))
-		wr(int64(len(deps)))
-		for _, d := range deps {
+		r := g.Row(Node(n))
+		wr(int64(r.Len()))
+		g.EachDep(Node(n), func(d Dep) {
 			wr(int64(d.Src))
 			wr(int64(d.Kind))
 			wr(int64(d.Via))
-		}
+		})
 	}
 	for _, mc := range g.mctxs {
-		callers := g.callerNodes[mc]
+		callers := g.CallerNodes(mc)
 		wr(int64(len(callers)))
 		for _, c := range callers {
 			wr(int64(c))
@@ -316,13 +398,122 @@ func Build(prog *ir.Program, pts *pointsto.Result) *Graph {
 	return g
 }
 
-// lenDeps returns the heap edges of one array-length read: the
+// maskKey identifies a single-word points-to set; loads with equal
+// sets match exactly the same stores, so they share one heap list
+// instead of re-testing every (load, store) pair. Sets spanning
+// several words (rare: the IDs of one base pointer must cross a 64-ID
+// word boundary) fall back to a private list.
+type maskKey struct {
+	word int
+	bits uint64
+}
+
+// builder holds the state that only construction needs.
+type builder struct {
+	g      *Graph
+	meter  *budget.Meter
+	capped bool // a step cap meters every logical edge
+	stop   error
+	// returns caches each method's Return instructions: linkCall needs
+	// them once per (call site, callee context) pair, and re-walking
+	// the whole callee body every time is quadratic in practice.
+	returns map[*ir.Method][]*ir.Return
+}
+
+// tick spends one construction step; once the budget fails the graph
+// stops growing (sticky), and the builder interprets the violation.
+func (b *builder) tick() bool { return b.tickN(1) }
+
+// tickN spends n construction steps at once.
+func (b *builder) tickN(n int) bool {
+	if b.stop != nil {
+		return false
+	}
+	if err := b.meter.TickN(int64(n)); err != nil {
+		b.stop = err
+		return false
+	}
+	return true
+}
+
+// take spends one step per edge of an n-edge list under a step cap and
+// returns how many of the edges fit; without a cap it spends nothing.
+// A cap therefore cuts the logical edge sequence at the same edge
+// whether its edges are own or shared.
+func (b *builder) take(n int32) int32 {
+	if !b.capped {
+		return n
+	}
+	for i := int32(0); i < n; i++ {
+		if !b.tick() {
+			return i
+		}
+	}
+	return n
+}
+
+// refer points one row at list i (-1: no list), keeping only the
+// prefix of it that the step budget admits; a cut prefix becomes a list
+// of its own. It returns the reference to store.
+func (b *builder) refer(i int32) int32 {
+	if i < 0 {
+		return -1
+	}
+	l := b.g.lists[i]
+	k := b.take(l.n)
+	b.g.numEdges += int(k)
+	switch k {
+	case l.n:
+		return i
+	case 0:
+		return -1
+	}
+	return b.newList(l.off, k)
+}
+
+// newList records srcs[off : off+n] as a list and returns its index,
+// or -1 for an empty one.
+func (b *builder) newList(off, n int32) int32 {
+	if n == 0 {
+		return -1
+	}
+	b.g.lists = append(b.g.lists, span{off, n})
+	return int32(len(b.g.lists) - 1)
+}
+
+// storeList returns the list of stores aliasing ld, in stores slice
+// order (the order the pairing loops have always emitted), appending
+// it to srcs unless a load with the same one-word set already did.
+func (b *builder) storeList(ld *heapAccess, stores []heapAccess, cache map[maskKey]int32) int32 {
+	word, bits, ok := ld.objs.OneWord()
+	if ok {
+		if i, hit := cache[maskKey{word, bits}]; hit {
+			return i
+		}
+	}
+	g := b.g
+	off := int32(len(g.srcs))
+	for i := range stores {
+		if ld.objs.Intersects(stores[i].objs) {
+			g.srcs = append(g.srcs, stores[i].node)
+		}
+	}
+	i := b.newList(off, int32(len(g.srcs))-off)
+	if ok {
+		cache[maskKey{word, bits}] = i
+	}
+	return i
+}
+
+// lenList returns the private list of one array-length read: the
 // allocation sites of its may-pointees, across every context instance
 // of the allocation (the object's heap context names the allocating
 // container context only indirectly). Objects of one site share its
-// nodes and distinct sites have disjoint ones, so each site is emitted
+// nodes and distinct sites have disjoint ones, so each site is listed
 // once, at its first object.
-func (g *Graph) lenDeps(lr heapAccess, add func(to Node, d Dep)) {
+func (b *builder) lenList(lr heapAccess) int32 {
+	g := b.g
+	off := int32(len(g.srcs))
 	var seen []ir.Instr
 	lr.objs.ForEach(func(id int) {
 		o := g.Pts.Objects()[id]
@@ -331,92 +522,58 @@ func (g *Graph) lenDeps(lr heapAccess, add func(to Node, d Dep)) {
 		}
 		seen = append(seen, o.Site)
 		for _, mc := range g.Pts.MCtxsOf(o.Site.Block().Method) {
-			add(lr.node, Dep{Src: g.NodeOf(mc, o.Site), Kind: EdgeHeap, Via: NoNode})
+			g.srcs = append(g.srcs, g.NodeOf(mc, o.Site))
 		}
 	})
+	return b.newList(off, int32(len(g.srcs))-off)
 }
 
-// maskKey identifies a single-word points-to set; loads with equal
-// sets match exactly the same stores, so per-field pairing caches the
-// match list once per distinct set instead of re-testing every (load,
-// store) pair. Sets spanning several words (rare: the IDs of one base
-// pointer must cross a 64-ID word boundary) fall back to direct pairing.
-type maskKey struct {
-	word int
-	bits uint64
-}
-
-// matchStores returns the nodes of stores aliasing ld, in stores slice
-// order (the order the pairing loops have always emitted), caching by
-// set when ld's set is a single word.
-func matchStores(ld *heapAccess, stores []heapAccess, cache map[maskKey][]Node) []Node {
-	word, bits, ok := ld.objs.OneWord()
-	if ok {
-		if m, hit := cache[maskKey{word, bits}]; hit {
-			return m
+// emitHeap runs the points-to-derived phase over a heap index: every
+// load's heap list, from field, element, array-length and static
+// pairing. Field names are visited in sorted order, so the sequence of
+// loads, and with it the point where a step cap stops the phase, is
+// the same on every run. Each load spends one step before its edges.
+func (b *builder) emitHeap(h *heapIndex) {
+	refs := b.g.refs
+	pair := func(loads, stores []heapAccess, cache map[maskKey]int32) bool {
+		for i := range loads {
+			if !b.tick() {
+				return false
+			}
+			refs[loads[i].node].heap = b.refer(b.storeList(&loads[i], stores, cache))
 		}
+		return true
 	}
-	var m []Node
-	for i := range stores {
-		if ld.objs.Intersects(stores[i].objs) {
-			m = append(m, stores[i].node)
-		}
-	}
-	if ok {
-		cache[maskKey{word, bits}] = m
-	}
-	return m
-}
-
-// emitHeap runs the points-to-derived phases over a heap index: heap
-// pairing, array lengths and statics, sending every edge to add. Field
-// names are visited in sorted order, so the sequence of loads, and with
-// it the point where a step cap stops the phase, is the same on every
-// run. tick, when non-nil, is spent once per load before its edges; a
-// false return ends the phase.
-func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep)) {
-	spend := func() bool { return tick == nil || tick() }
 	// Heap edges: store→load when the base points-to sets (in the
 	// respective contexts) intersect.
 	for _, fname := range sortedKeys(h.fieldLoads) {
-		loads, stores := h.fieldLoads[fname], h.fieldStores[fname]
-		cache := make(map[maskKey][]Node)
-		for i := range loads {
-			if !spend() {
-				return
-			}
-			for _, st := range matchStores(&loads[i], stores, cache) {
-				add(loads[i].node, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
-			}
-		}
-	}
-	for _, ld := range h.elemLoads {
-		if !spend() {
+		if !pair(h.fieldLoads[fname], h.fieldStores[fname], make(map[maskKey]int32)) {
 			return
 		}
-		for _, st := range h.elemStores {
-			if ld.objs.Intersects(st.objs) {
-				add(ld.node, Dep{Src: st.node, Kind: EdgeHeap, Via: NoNode})
-			}
-		}
+	}
+	if !pair(h.elemLoads, h.elemStores, make(map[maskKey]int32)) {
+		return
 	}
 	for _, lr := range h.lenReads {
-		if !spend() {
+		if !b.tick() {
 			return
 		}
-		g.lenDeps(lr, add)
+		refs[lr.node].heap = b.refer(b.lenList(lr))
 	}
 	// Static fields are single global locations: every store reaches
-	// every load of the same field.
+	// every load of the same field, so the field's loads share one list.
 	for _, fname := range sortedKeys(h.staticLoads) {
-		stores := h.staticStores[fname]
-		for _, ld := range h.staticLoads[fname] {
-			if !spend() {
+		list := int32(-1)
+		for i, ld := range h.staticLoads[fname] {
+			if !b.tick() {
 				return
 			}
-			for _, st := range stores {
-				add(ld, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
+			if i == 0 {
+				off := int32(len(b.g.srcs))
+				b.g.srcs = append(b.g.srcs, h.staticStores[fname]...)
+				list = b.newList(off, int32(len(b.g.srcs))-off)
 			}
+			refs[ld].heap = b.refer(list)
 		}
 	}
 }
@@ -430,32 +587,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// tick spends one construction step; once the budget fails the graph
-// stops growing (sticky), and the builder interprets the violation.
-func (g *Graph) tick() bool { return g.tickN(1) }
-
-// tickN spends n construction steps at once.
-func (g *Graph) tickN(n int) bool {
-	if g.stop != nil {
-		return false
-	}
-	if err := g.meter.TickN(int64(n)); err != nil {
-		g.stop = err
-		return false
-	}
-	return true
-}
-
 // linkCall adds parameter and return edges for every callee context of
 // a call site in a caller context, whose nodes are its instruction IDs
-// plus callerDelta. With record set it also records the call site as a
-// caller of each callee context.
-func (g *Graph) linkCall(caller *pointsto.MCtx, callerDelta int, callNode Node, call *ir.Call, add func(to Node, d Dep), record bool) {
+// plus callerDelta. A non-nil record also sees each callee context the
+// call site invokes.
+func (b *builder) linkCall(caller *pointsto.MCtx, callerDelta int, callNode Node, call *ir.Call, add func(to Node, d Dep), record func(callee int, call Node)) {
+	g := b.g
 	for _, callee := range g.Pts.CalleesAt(call, caller) {
-		if record {
-			g.callerNodes[callee] = append(g.callerNodes[callee], callNode)
+		if record != nil {
+			record(callee.ID, callNode)
 		}
-		calleeDelta := int(g.base[callee]) - g.firstID[callee.Method]
+		calleeDelta := int(g.base[callee.ID] - g.first[callee.ID])
 		params := callee.Method.Params
 		offset := 0
 		if !callee.Method.Sig.Static {
@@ -475,7 +617,7 @@ func (g *Graph) linkCall(caller *pointsto.MCtx, callerDelta int, callNode Node, 
 			}
 		}
 		if call.Dst != nil {
-			for _, ret := range g.returns[callee.Method] {
+			for _, ret := range b.returns[callee.Method] {
 				if ret.Val != nil {
 					add(callNode, Dep{Src: Node(calleeDelta + ret.ID()), Kind: EdgeReturn, Via: NoNode})
 				}

@@ -20,12 +20,19 @@ func analyze(t *testing.T, src string) *analyzer.Analysis {
 	return a
 }
 
+// deps returns node n's logical row, in order.
+func deps(g *sdg.Graph, n sdg.Node) []sdg.Dep {
+	var out []sdg.Dep
+	g.EachDep(n, func(d sdg.Dep) { out = append(out, d) })
+	return out
+}
+
 // depsOfKind unions the k-kind dependences of every context instance
 // of ins.
 func depsOfKind(g *sdg.Graph, ins ir.Instr, k sdg.EdgeKind) []sdg.Dep {
 	var out []sdg.Dep
 	for _, n := range g.NodesOf(ins) {
-		for _, d := range g.Deps(n) {
+		for _, d := range deps(g, n) {
 			if d.Kind == k {
 				out = append(out, d)
 			}

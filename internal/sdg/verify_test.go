@@ -22,7 +22,8 @@ func TestVerifyGraphDetectsCorruption(t *testing.T) {
 	if errs := sdg.VerifyGraph(fresh(t)); len(errs) > 0 {
 		t.Fatalf("well-formed graph fails VerifyGraph: %v", errs[0])
 	}
-	for _, name := range []string{"offset-nonmonotone", "dep-out-of-bounds", "via-on-local", "context-dropped"} {
+	for _, name := range []string{"offset-nonmonotone", "dep-out-of-bounds", "shared-out-of-bounds", "via-on-local",
+		"control-in-scan", "calls-of-other-context", "context-dropped"} {
 		t.Run(name, func(t *testing.T) {
 			g := fresh(t)
 			if !sdg.CorruptForTest(g, name) {
