@@ -29,17 +29,38 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// waitFor polls the buffer until the substring appears.
-func waitFor(t *testing.T, buf *syncBuffer, substr string) {
+// waitFor polls stdout until the substring appears.
+func waitFor(t *testing.T, stdout, stderr *syncBuffer, substr string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if strings.Contains(buf.String(), substr) {
+		if strings.Contains(stdout.String(), substr) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("output never contained %q:\n%s", substr, buf.String())
+	t.Fatalf("output never contained %q\nstdout:\n%s\nstderr:\n%s", substr, stdout.String(), stderr.String())
+}
+
+// saveAtomically replaces path's content the way editors that save
+// atomically do: it writes a temporary file in the same directory and
+// renames it over path, so a poll never reads a half-written file.
+func saveAtomically(t *testing.T, path, content string) {
+	t.Helper()
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".save-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.WriteString(content); err != nil {
+		tmp.Close()
+		t.Fatal(err)
+	}
+	if err := tmp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWatchCLIIncremental drives the watch subcommand end to end: the
@@ -66,14 +87,10 @@ func TestWatchCLIIncremental(t *testing.T) {
 		}, &out, &errOut)
 	}()
 
-	waitFor(t, &out, "rev 0 (cold build)")
-	if err := os.WriteFile(alpha, []byte(strings.Replace(alphaSrc, "x + 1", "x + 2", 1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, &out, "rev 1 (")
-	if err := os.WriteFile(alpha, []byte(alphaSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, &out, &errOut, "rev 0 (cold build)")
+	saveAtomically(t, alpha, strings.Replace(alphaSrc, "x + 1", "x + 2", 1))
+	waitFor(t, &out, &errOut, "rev 1 (")
+	saveAtomically(t, alpha, alphaSrc)
 
 	select {
 	case c := <-code:
@@ -81,7 +98,7 @@ func TestWatchCLIIncremental(t *testing.T) {
 			t.Fatalf("watch exited %d\nstdout:\n%s\nstderr:\n%s", c, out.String(), errOut.String())
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatalf("watch did not exit after the edits\nstdout:\n%s", out.String())
+		t.Fatalf("watch did not exit after the edits\nstdout:\n%s\nstderr:\n%s", out.String(), errOut.String())
 	}
 
 	got := out.String()
@@ -92,7 +109,7 @@ func TestWatchCLIIncremental(t *testing.T) {
 		"thin slice of " + mainf + ":6:",
 	} {
 		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+			t.Errorf("output missing %q\nstdout:\n%s\nstderr:\n%s", want, got, errOut.String())
 		}
 	}
 }
