@@ -219,7 +219,7 @@ func (b *builder) unit(mi *types.MethodInfo) Unit {
 	} else {
 		u.File = mi.Decl.NamePos.File
 		hashMethodDecl(h, mi.Decl)
-		b.collectRefs(mi.Decl, refClasses, refUnits)
+		b.collectRefs(mi, refClasses, refUnits)
 	}
 	// Referenced-class fingerprints, sorted by class name for a
 	// deterministic key.
@@ -247,8 +247,9 @@ func (b *builder) unit(mi *types.MethodInfo) Unit {
 // the lowering of this unit can observe (receiver/owner classes of
 // called methods and accessed fields, named types in expressions and
 // type expressions) and every unit it calls.
-func (b *builder) collectRefs(m *ast.MethodDecl, classes map[string]*types.ClassInfo, units map[string]bool) {
+func (b *builder) collectRefs(mi *types.MethodInfo, classes map[string]*types.ClassInfo, units map[string]bool) {
 	info := b.info
+	m, facts := mi.Decl, info.Body(mi)
 	addType := func(t types.Type) {
 		for {
 			switch tt := t.(type) {
@@ -285,7 +286,7 @@ func (b *builder) collectRefs(m *ast.MethodDecl, classes map[string]*types.Class
 	if m.Ret != nil {
 		addTypeExpr(m.Ret)
 	}
-	walk(m.Body, func(n ast.Node) {
+	ast.Walk(m.Body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.VarDecl:
 			addTypeExpr(n.Type)
@@ -305,7 +306,7 @@ func (b *builder) collectRefs(m *ast.MethodDecl, classes map[string]*types.Class
 				classes[ci.Name] = ci
 			}
 		case *ast.Ident:
-			if ref := info.Refs[n]; ref != nil {
+			if ref := facts.Ref(n); ref != nil {
 				if ref.Field != nil {
 					classes[ref.Field.Owner.Name] = ref.Field.Owner
 				}
@@ -314,110 +315,21 @@ func (b *builder) collectRefs(m *ast.MethodDecl, classes map[string]*types.Class
 				}
 			}
 		case *ast.FieldAccess:
-			if fi := info.FieldRefs[n]; fi != nil {
+			if fi := facts.Field(n); fi != nil {
 				classes[fi.Owner.Name] = fi.Owner
 			}
 		case *ast.Call:
-			if ciInfo := info.Calls[n]; ciInfo != nil && ciInfo.Method != nil {
+			if ciInfo := facts.Call(n); ciInfo != nil && ciInfo.Method != nil {
 				classes[ciInfo.Method.Owner.Name] = ciInfo.Method.Owner
 				units[ciInfo.Method.QualifiedName()] = true
 			}
 		}
 		if e, ok := n.(ast.Expr); ok {
-			if t := info.ExprTypes[e]; t != nil {
+			if t := facts.TypeOf(e); t != nil {
 				addType(t)
 			}
 		}
 	})
-}
-
-// walk visits every statement and expression node reachable from n in
-// source order.
-func walk(n ast.Node, f func(ast.Node)) {
-	if n == nil {
-		return
-	}
-	switch n := n.(type) {
-	case *ast.Block:
-		if n == nil {
-			return
-		}
-		f(n)
-		for _, s := range n.Stmts {
-			walk(s, f)
-		}
-	case *ast.VarDecl:
-		f(n)
-		walk(n.Init, f)
-	case *ast.Assign:
-		f(n)
-		walk(n.LHS, f)
-		walk(n.RHS, f)
-	case *ast.If:
-		f(n)
-		walk(n.Cond, f)
-		walk(n.Then, f)
-		walk(n.Else, f)
-	case *ast.While:
-		f(n)
-		walk(n.Cond, f)
-		walk(n.Body, f)
-	case *ast.For:
-		f(n)
-		walk(n.Init, f)
-		walk(n.Cond, f)
-		walk(n.Post, f)
-		walk(n.Body, f)
-	case *ast.Return:
-		f(n)
-		walk(n.Value, f)
-	case *ast.ExprStmt:
-		f(n)
-		walk(n.X, f)
-	case *ast.Throw:
-		f(n)
-		walk(n.X, f)
-	case *ast.Assert:
-		f(n)
-		walk(n.Cond, f)
-	case *ast.Break, *ast.Continue, *ast.This, *ast.IntLit, *ast.BoolLit,
-		*ast.StrLit, *ast.NullLit, *ast.Ident:
-		f(n)
-	case *ast.Binary:
-		f(n)
-		walk(n.X, f)
-		walk(n.Y, f)
-	case *ast.Unary:
-		f(n)
-		walk(n.X, f)
-	case *ast.FieldAccess:
-		f(n)
-		walk(n.X, f)
-	case *ast.Index:
-		f(n)
-		walk(n.X, f)
-		walk(n.I, f)
-	case *ast.Call:
-		f(n)
-		walk(n.Recv, f)
-		for _, a := range n.Args {
-			walk(a, f)
-		}
-	case *ast.New:
-		f(n)
-		for _, a := range n.Args {
-			walk(a, f)
-		}
-	case *ast.NewArray:
-		f(n)
-		walk(n.Len, f)
-	case *ast.Cast:
-		f(n)
-		walk(n.X, f)
-	case *ast.InstanceOf:
-		f(n)
-		walk(n.X, f)
-	}
 }
 
 // hashMethodDecl folds the complete declaration AST — positions

@@ -52,6 +52,13 @@ func collectJobs(info *types.Info) []*types.MethodInfo {
 // order. Lowering and DecodeProgram both number through it, so a
 // decoded program is numbered exactly as the lowering that encoded it.
 func (p *Program) numberInstrs() {
+	n := 0
+	for _, m := range p.Methods {
+		for _, blk := range m.Blocks {
+			n += len(blk.Instrs)
+		}
+	}
+	p.instrByID = make([]Instr, 0, n)
 	for _, m := range p.Methods {
 		m.Instrs(func(ins Instr) {
 			ins.setID(p.NumInstrs)
@@ -84,6 +91,7 @@ type incompletePhi struct {
 
 type builder struct {
 	info  *types.Info
+	facts types.Body // the checker's facts for sig's body
 	m     *Method
 	sig   *types.MethodInfo
 	diags Diagnostics
@@ -108,6 +116,7 @@ func lowerMethod(info *types.Info, sig *types.MethodInfo) (*Method, Diagnostics)
 	m := &Method{Sig: sig}
 	b := &builder{
 		info:        info,
+		facts:       info.Body(sig),
 		m:           m,
 		sig:         sig,
 		sealed:      make(map[*Block]bool),
@@ -578,7 +587,7 @@ func (b *builder) lowerStmt(s ast.Stmt) {
 func (b *builder) lowerAssign(s *ast.Assign) {
 	switch lhs := s.LHS.(type) {
 	case *ast.Ident:
-		ref := b.info.Refs[lhs]
+		ref := b.facts.Ref(lhs)
 		val := b.lowerExpr(s.RHS)
 		if ref == nil {
 			b.diag(lhs.Pos(), "unresolved assignment target %s", lhs.Name)
@@ -602,7 +611,7 @@ func (b *builder) lowerAssign(s *ast.Assign) {
 			b.diag(s.Pos(), "bad assign target %s", lhs.Name)
 		}
 	case *ast.FieldAccess:
-		f := b.info.FieldRefs[lhs]
+		f := b.facts.Field(lhs)
 		if f == nil {
 			b.diag(lhs.Pos(), "unresolved field in assignment")
 			b.lowerExpr(s.RHS) // still lower the RHS for its effects
@@ -718,7 +727,7 @@ func (b *builder) materializeCopy(rhs ast.Expr, val *Reg, pos token.Pos) *Reg {
 	case *ast.This:
 		bare = true
 	case *ast.Ident:
-		if ref := b.info.Refs[rhs]; ref != nil {
+		if ref := b.facts.Ref(rhs); ref != nil {
 			bare = ref.Kind == types.RefLocal || ref.Kind == types.RefParam
 		}
 	}
@@ -862,14 +871,14 @@ func (b *builder) lowerExpr(e ast.Expr) *Reg {
 }
 
 func (b *builder) elemType(arrExpr ast.Expr) types.Type {
-	if at, ok := b.info.TypeOf(arrExpr).(*types.Array); ok {
+	if at, ok := b.facts.TypeOf(arrExpr).(*types.Array); ok {
 		return at.Elem
 	}
 	return types.IntT
 }
 
 func (b *builder) lowerIdent(e *ast.Ident) *Reg {
-	ref := b.info.Refs[e]
+	ref := b.facts.Ref(e)
 	if ref == nil {
 		b.diag(e.Pos(), "unresolved identifier %s", e.Name)
 		return b.badValue(types.IntT, e.Pos())
@@ -928,7 +937,7 @@ func (b *builder) lowerBinary(e *ast.Binary) *Reg {
 		return b.read(key, e.Pos())
 	case token.ADD:
 		// String concatenation.
-		if isStrType(b.info.TypeOf(e)) {
+		if isStrType(b.facts.TypeOf(e)) {
 			x := b.lowerExpr(e.X)
 			y := b.lowerExpr(e.Y)
 			r := b.newReg(types.ClassType(b.info.String))
@@ -958,7 +967,7 @@ func isStrType(t types.Type) bool {
 }
 
 func (b *builder) lowerFieldAccess(e *ast.FieldAccess) *Reg {
-	if b.info.IsArrayLen[e] {
+	if b.facts.IsArrayLen(e) {
 		arr := b.lowerExpr(e.X)
 		r := b.newReg(types.IntT)
 		al := &ArrayLen{Dst: r, Arr: arr}
@@ -966,7 +975,7 @@ func (b *builder) lowerFieldAccess(e *ast.FieldAccess) *Reg {
 		b.emit(al)
 		return r
 	}
-	f := b.info.FieldRefs[e]
+	f := b.facts.Field(e)
 	if f == nil {
 		b.diag(e.Pos(), "unresolved field access")
 		return b.badValue(types.IntT, e.Pos())
@@ -996,7 +1005,7 @@ var strIntrinsicKinds = map[types.Intrinsic]StrKind{
 }
 
 func (b *builder) lowerCall(e *ast.Call) *Reg {
-	ci := b.info.Calls[e]
+	ci := b.facts.Call(e)
 	if ci == nil {
 		b.diag(e.Pos(), "unresolved call %s", e.Name)
 		return b.badValue(types.IntT, e.Pos())

@@ -13,9 +13,9 @@ type Node interface {
 // Program is a whole analyzed program: the union of all parsed files.
 type Program struct {
 	Classes []*ClassDecl
-	// SrcBytes is the total size of the parsed sources (zero for
-	// hand-built programs). Consumers use it to presize per-expression
-	// tables; it never affects semantics.
+	// SrcBytes is the total size of the parsed sources. Nothing reads
+	// it since the checker sizes its tables from MethodDecl.NumExprs;
+	// it stays because the benchmark module still sets it.
 	SrcBytes int
 }
 
@@ -62,6 +62,9 @@ type MethodDecl struct {
 	Name    string
 	Params  []*Param
 	Body    *Block
+	// NumExprs is the number of expression nodes in Body, whose
+	// ExprIDs are 0 to NumExprs-1.
+	NumExprs int32
 }
 
 func (m *MethodDecl) Pos() token.Pos { return m.NamePos }
@@ -261,98 +264,117 @@ type Continue struct{ ContinuePos token.Pos }
 func (s *Continue) Pos() token.Pos { return s.ContinuePos }
 func (s *Continue) stmt()          {}
 
-// Expr is implemented by all expression nodes.
+// Expr is implemented by all expression nodes. ExprID numbers an
+// expression densely from 0 within its method body (MethodDecl.NumExprs
+// bounds it), so per-expression facts can live in tables indexed by it
+// rather than in the nodes, and one parsed AST can be shared by
+// programs that resolve it differently. Distinct nodes of a body have
+// distinct IDs.
 type Expr interface {
 	Node
-	expr()
+	ExprID() int32
 }
 
 // IntLit is an integer literal (also used for char literals).
 type IntLit struct {
 	LitPos token.Pos
 	Value  int64
+	ID     int32
 }
 
 func (e *IntLit) Pos() token.Pos { return e.LitPos }
-func (e *IntLit) expr()          {}
+func (e *IntLit) ExprID() int32  { return e.ID }
 
 // BoolLit is true or false.
 type BoolLit struct {
 	LitPos token.Pos
 	Value  bool
+	ID     int32
 }
 
 func (e *BoolLit) Pos() token.Pos { return e.LitPos }
-func (e *BoolLit) expr()          {}
+func (e *BoolLit) ExprID() int32  { return e.ID }
 
 // StrLit is a string literal.
 type StrLit struct {
 	LitPos token.Pos
 	Value  string
+	ID     int32
 }
 
 func (e *StrLit) Pos() token.Pos { return e.LitPos }
-func (e *StrLit) expr()          {}
+func (e *StrLit) ExprID() int32  { return e.ID }
 
 // NullLit is the null reference.
-type NullLit struct{ LitPos token.Pos }
+type NullLit struct {
+	LitPos token.Pos
+	ID     int32
+}
 
 func (e *NullLit) Pos() token.Pos { return e.LitPos }
-func (e *NullLit) expr()          {}
+func (e *NullLit) ExprID() int32  { return e.ID }
 
 // Ident names a local variable, parameter, field of this, or class (in
 // a static field/method access position).
 type Ident struct {
 	NamePos token.Pos
 	Name    string
+	ID      int32
 }
 
 func (e *Ident) Pos() token.Pos { return e.NamePos }
-func (e *Ident) expr()          {}
+func (e *Ident) ExprID() int32  { return e.ID }
 
 // This is the receiver reference.
-type This struct{ ThisPos token.Pos }
+type This struct {
+	ThisPos token.Pos
+	ID      int32
+}
 
 func (e *This) Pos() token.Pos { return e.ThisPos }
-func (e *This) expr()          {}
+func (e *This) ExprID() int32  { return e.ID }
 
 // Binary is a binary operation X Op Y.
 type Binary struct {
 	OpPos token.Pos
 	Op    token.Kind
 	X, Y  Expr
+	ID    int32
 }
 
 func (e *Binary) Pos() token.Pos { return e.X.Pos() }
-func (e *Binary) expr()          {}
+func (e *Binary) ExprID() int32  { return e.ID }
 
 // Unary is !X or -X.
 type Unary struct {
 	OpPos token.Pos
 	Op    token.Kind
 	X     Expr
+	ID    int32
 }
 
 func (e *Unary) Pos() token.Pos { return e.OpPos }
-func (e *Unary) expr()          {}
+func (e *Unary) ExprID() int32  { return e.ID }
 
 // FieldAccess is X.Name, including array .length and static Class.f.
 type FieldAccess struct {
 	X       Expr
 	NamePos token.Pos
 	Name    string
+	ID      int32
 }
 
 func (e *FieldAccess) Pos() token.Pos { return e.NamePos }
-func (e *FieldAccess) expr()          {}
+func (e *FieldAccess) ExprID() int32  { return e.ID }
 
 // Index is X[I].
 type Index struct {
 	X, I Expr
+	ID   int32
 }
 
 func (e *Index) Pos() token.Pos { return e.X.Pos() }
-func (e *Index) expr()          {}
+func (e *Index) ExprID() int32  { return e.ID }
 
 // Call invokes a method. Recv is nil for unqualified calls (implicit
 // this, a static method of the enclosing class, or a builtin such as
@@ -363,46 +385,141 @@ type Call struct {
 	Name    string
 	Args    []Expr
 	IsSuper bool // true for super(...) constructor calls
+	ID      int32
 }
 
 func (e *Call) Pos() token.Pos { return e.NamePos }
-func (e *Call) expr()          {}
+func (e *Call) ExprID() int32  { return e.ID }
 
 // New allocates an object and runs its constructor.
 type New struct {
 	NewPos token.Pos
 	Class  string
 	Args   []Expr
+	ID     int32
 }
 
 func (e *New) Pos() token.Pos { return e.NewPos }
-func (e *New) expr()          {}
+func (e *New) ExprID() int32  { return e.ID }
 
 // NewArray allocates an array: new T[Len].
 type NewArray struct {
 	NewPos token.Pos
 	Elem   TypeExpr
 	Len    Expr
+	ID     int32
 }
 
 func (e *NewArray) Pos() token.Pos { return e.NewPos }
-func (e *NewArray) expr()          {}
+func (e *NewArray) ExprID() int32  { return e.ID }
 
 // Cast is (T) X.
 type Cast struct {
 	LparenPos token.Pos
 	Type      TypeExpr
 	X         Expr
+	ID        int32
 }
 
 func (e *Cast) Pos() token.Pos { return e.LparenPos }
-func (e *Cast) expr()          {}
+func (e *Cast) ExprID() int32  { return e.ID }
 
 // InstanceOf is X instanceof Class.
 type InstanceOf struct {
 	X     Expr
 	Class string
+	ID    int32
 }
 
 func (e *InstanceOf) Pos() token.Pos { return e.X.Pos() }
-func (e *InstanceOf) expr()          {}
+func (e *InstanceOf) ExprID() int32  { return e.ID }
+
+// Walk calls f for every statement and expression node reachable from
+// n, in source order, each node before its children. The LHS that an
+// x += e or x++ shares with its synthesized Binary is visited twice.
+func Walk(n Node, f func(Node)) {
+	if n == nil {
+		return
+	}
+	switch n := n.(type) {
+	case *Block:
+		if n == nil {
+			return
+		}
+		f(n)
+		for _, s := range n.Stmts {
+			Walk(s, f)
+		}
+	case *VarDecl:
+		f(n)
+		Walk(n.Init, f)
+	case *Assign:
+		f(n)
+		Walk(n.LHS, f)
+		Walk(n.RHS, f)
+	case *If:
+		f(n)
+		Walk(n.Cond, f)
+		Walk(n.Then, f)
+		Walk(n.Else, f)
+	case *While:
+		f(n)
+		Walk(n.Cond, f)
+		Walk(n.Body, f)
+	case *For:
+		f(n)
+		Walk(n.Init, f)
+		Walk(n.Cond, f)
+		Walk(n.Post, f)
+		Walk(n.Body, f)
+	case *Return:
+		f(n)
+		Walk(n.Value, f)
+	case *ExprStmt:
+		f(n)
+		Walk(n.X, f)
+	case *Throw:
+		f(n)
+		Walk(n.X, f)
+	case *Assert:
+		f(n)
+		Walk(n.Cond, f)
+	case *Break, *Continue, *This, *IntLit, *BoolLit,
+		*StrLit, *NullLit, *Ident:
+		f(n)
+	case *Binary:
+		f(n)
+		Walk(n.X, f)
+		Walk(n.Y, f)
+	case *Unary:
+		f(n)
+		Walk(n.X, f)
+	case *FieldAccess:
+		f(n)
+		Walk(n.X, f)
+	case *Index:
+		f(n)
+		Walk(n.X, f)
+		Walk(n.I, f)
+	case *Call:
+		f(n)
+		Walk(n.Recv, f)
+		for _, a := range n.Args {
+			Walk(a, f)
+		}
+	case *New:
+		f(n)
+		for _, a := range n.Args {
+			Walk(a, f)
+		}
+	case *NewArray:
+		f(n)
+		Walk(n.Len, f)
+	case *Cast:
+		f(n)
+		Walk(n.X, f)
+	case *InstanceOf:
+		f(n)
+		Walk(n.X, f)
+	}
+}

@@ -3,6 +3,7 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -146,58 +147,65 @@ func (l *Lexer) skipSpaceAndComments() {
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
 	pos := l.pos()
+	off := l.off
+	kind := l.scan(pos)
+	return token.Token{Kind: kind, Line: int32(pos.Line), Col: int32(pos.Col), Off: int32(off), End: int32(l.off)}
+}
+
+// scan consumes one token starting at pos and returns its kind.
+func (l *Lexer) scan(pos token.Pos) token.Kind {
 	r := l.peek()
 	switch {
 	case r == -1:
-		return token.Token{Kind: token.EOF, Pos: pos}
+		return token.EOF
 	case isLetter(r):
 		start := l.off
 		for isLetter(l.peek()) || isDigit(l.peek()) {
 			l.next()
 		}
-		lit := l.src[start:l.off]
-		return token.Token{Kind: token.Lookup(lit), Pos: pos, Lit: lit}
+		return token.Lookup(l.src[start:l.off])
 	case isDigit(r):
-		start := l.off
 		for isDigit(l.peek()) {
 			l.next()
 		}
 		if isLetter(l.peek()) {
 			l.errorf(pos, "identifier cannot start with a digit")
 		}
-		return token.Token{Kind: token.INT, Pos: pos, Lit: l.src[start:l.off]}
+		return token.INT
 	case r == '"':
-		return l.scanString(pos)
+		l.scanString(pos, nil)
+		return token.STRING
 	case r == '\'':
-		return l.scanChar(pos)
+		l.scanChar(pos)
+		return token.CHAR
 	}
 	l.next()
-	two := func(second rune, twoKind, oneKind token.Kind) token.Token {
+	two := func(second rune, twoKind, oneKind token.Kind) token.Kind {
 		if l.peek() == second {
 			l.next()
-			return token.Token{Kind: twoKind, Pos: pos}
+			return twoKind
 		}
-		return token.Token{Kind: oneKind, Pos: pos}
+		return oneKind
 	}
 	switch r {
 	case '+':
 		if l.peek() == '+' {
 			l.next()
-			return token.Token{Kind: token.INCR, Pos: pos}
+			return token.INCR
 		}
 		return two('=', token.PLUSEQ, token.ADD)
 	case '-':
 		if l.peek() == '-' {
 			l.next()
-			return token.Token{Kind: token.DECR, Pos: pos}
+			return token.DECR
 		}
 		return two('=', token.MINUSEQ, token.SUB)
 	case '*':
-		return token.Token{Kind: token.MUL, Pos: pos}
+		return token.MUL
 	case '/':
-		return token.Token{Kind: token.QUO, Pos: pos}
+		return token.QUO
 	case '%':
-		return token.Token{Kind: token.REM, Pos: pos}
+		return token.REM
 	case '=':
 		return two('=', token.EQL, token.ASSIGN)
 	case '!':
@@ -209,69 +217,74 @@ func (l *Lexer) Next() token.Token {
 	case '&':
 		if l.peek() == '&' {
 			l.next()
-			return token.Token{Kind: token.LAND, Pos: pos}
+			return token.LAND
 		}
 		l.errorf(pos, "unexpected character %q (did you mean &&?)", r)
-		return token.Token{Kind: token.ILLEGAL, Pos: pos, Lit: string(r)}
+		return token.ILLEGAL
 	case '|':
 		if l.peek() == '|' {
 			l.next()
-			return token.Token{Kind: token.LOR, Pos: pos}
+			return token.LOR
 		}
 		l.errorf(pos, "unexpected character %q (did you mean ||?)", r)
-		return token.Token{Kind: token.ILLEGAL, Pos: pos, Lit: string(r)}
+		return token.ILLEGAL
 	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: pos}
+		return token.LPAREN
 	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: pos}
+		return token.RPAREN
 	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: pos}
+		return token.LBRACE
 	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: pos}
+		return token.RBRACE
 	case '[':
-		return token.Token{Kind: token.LBRACK, Pos: pos}
+		return token.LBRACK
 	case ']':
-		return token.Token{Kind: token.RBRACK, Pos: pos}
+		return token.RBRACK
 	case ',':
-		return token.Token{Kind: token.COMMA, Pos: pos}
+		return token.COMMA
 	case ';':
-		return token.Token{Kind: token.SEMI, Pos: pos}
+		return token.SEMI
 	case '.':
-		return token.Token{Kind: token.DOT, Pos: pos}
+		return token.DOT
 	}
 	l.errorf(pos, "unexpected character %q", r)
-	return token.Token{Kind: token.ILLEGAL, Pos: pos, Lit: string(r)}
+	return token.ILLEGAL
 }
 
-func (l *Lexer) scanString(pos token.Pos) token.Token {
+// scanString consumes a string literal from its opening quote through
+// its closing quote, or up to the end of its line when unterminated.
+// When val is non-nil it also receives the literal's decoded value.
+func (l *Lexer) scanString(pos token.Pos, val *strings.Builder) {
 	l.next() // opening quote
-	var b strings.Builder
 	for {
 		r := l.peek()
 		switch r {
 		case -1, '\n':
 			l.errorf(pos, "unterminated string literal")
-			return token.Token{Kind: token.STRING, Pos: pos, Lit: b.String()}
+			return
 		case '"':
 			l.next()
-			return token.Token{Kind: token.STRING, Pos: pos, Lit: b.String()}
+			return
 		case '\\':
 			l.next()
-			b.WriteRune(l.unescape(pos))
+			r = l.unescape(pos)
 		default:
 			l.next()
-			b.WriteRune(r)
+		}
+		if val != nil {
+			val.WriteRune(r)
 		}
 	}
 }
 
-func (l *Lexer) scanChar(pos token.Pos) token.Token {
+// scanChar consumes a character literal and returns its value; ok is
+// false when the literal ends before its first character.
+func (l *Lexer) scanChar(pos token.Pos) (val rune, ok bool) {
 	l.next() // opening quote
-	var val rune
 	switch r := l.peek(); r {
 	case -1, '\n':
 		l.errorf(pos, "unterminated character literal")
-		return token.Token{Kind: token.CHAR, Pos: pos, Lit: ""}
+		return 0, false
 	case '\\':
 		l.next()
 		val = l.unescape(pos)
@@ -284,7 +297,7 @@ func (l *Lexer) scanChar(pos token.Pos) token.Token {
 	} else {
 		l.next()
 	}
-	return token.Token{Kind: token.CHAR, Pos: pos, Lit: string(val)}
+	return val, true
 }
 
 func (l *Lexer) unescape(pos token.Pos) rune {
@@ -309,18 +322,62 @@ func (l *Lexer) unescape(pos token.Pos) rune {
 	return r
 }
 
+// Lit returns the literal text of t, a token that ScanAll scanned from
+// the normalized source src: the spelling of an identifier, keyword or
+// integer, the decoded value of a string or character literal, and the
+// character of an ILLEGAL token. Other kinds have none. A string body
+// without escapes that is valid UTF-8 is returned as a substring of src
+// without copying; every other literal decodes exactly as the lexer
+// reads it, an invalid UTF-8 byte becoming U+FFFD.
+func Lit(src string, t token.Token) string {
+	text := src[t.Off:t.End]
+	switch {
+	case t.Kind == token.IDENT || t.Kind == token.INT || t.Kind.IsKeyword():
+		return text
+	case t.Kind == token.ILLEGAL:
+		r, _ := utf8.DecodeRuneInString(text)
+		return string(r)
+	case t.Kind != token.STRING && t.Kind != token.CHAR:
+		return ""
+	}
+	if body := text[1:]; t.Kind == token.STRING && strings.IndexByte(body, '\\') < 0 && utf8.ValidString(body) {
+		// Without escapes the only quote in the body is the closing one.
+		return strings.TrimSuffix(body, `"`)
+	}
+	// Rescan the literal alone; the lexer already reported its errors.
+	l := &Lexer{src: src[:t.End], off: int(t.Off), line: 1, col: 1}
+	if t.Kind == token.CHAR {
+		if val, ok := l.scanChar(token.Pos{}); ok {
+			return string(val)
+		}
+		return ""
+	}
+	var val strings.Builder
+	l.scanString(token.Pos{}, &val)
+	return val.String()
+}
+
+// maxSource is the largest source, in bytes, whose token offsets fit
+// in a Token's int32 fields.
+var maxSource = math.MaxInt32
+
 // ScanAll tokenizes the entire input, excluding the trailing EOF token.
-func ScanAll(file, src string) ([]token.Token, []*Error) {
+// It returns the CRLF-normalized source that the tokens' offsets index
+// (pass it to Lit). A source of 2 GiB or more is rejected with one error
+// and no tokens.
+func ScanAll(file, src string) (string, []token.Token, []*Error) {
+	if len(src) > maxSource {
+		return "", nil, []*Error{{Pos: token.Pos{File: file, Line: 1, Col: 1}, Msg: fmt.Sprintf("source of %d bytes exceeds the %d-byte limit", len(src), maxSource)}}
+	}
 	l := New(file, src)
 	// Dense machine-written source runs about 3.6 bytes per token, so
 	// /3 gives every realistic input a single allocation that holds the
-	// whole stream (growth copies of a token slice are expensive: every
-	// Token carries string headers the GC must scan).
+	// whole stream.
 	toks := make([]token.Token, 0, len(src)/3+16)
 	for {
 		t := l.Next()
 		if t.Kind == token.EOF {
-			return toks, l.Errors()
+			return l.src, toks, l.Errors()
 		}
 		toks = append(toks, t)
 	}

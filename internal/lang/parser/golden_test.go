@@ -76,9 +76,9 @@ func goldenCorpus() [][2]string {
 // hashFrontEnd writes one line per token, lexer error and parse error
 // of src to h.
 func hashFrontEnd(h hash.Hash, file, src string) {
-	toks, lexErrs := lexer.ScanAll(file, src)
+	norm, toks, lexErrs := lexer.ScanAll(file, src)
 	for _, t := range toks {
-		fmt.Fprintf(h, "tok %d %d:%d %q\n", t.Kind, t.Pos.Line, t.Pos.Col, t.Lit)
+		fmt.Fprintf(h, "tok %d %d:%d %q\n", t.Kind, t.Line, t.Col, lexer.Lit(norm, t))
 	}
 	for _, e := range lexErrs {
 		fmt.Fprintf(h, "lex %s\n", e)

@@ -34,15 +34,21 @@ func (l ErrorList) Error() string {
 }
 
 type parser struct {
+	file   string
+	src    string // CRLF-normalized; token offsets index it
 	toks   []token.Token
 	i      int
 	errors ErrorList
+	// nextID is the ExprID the next expression node of the current
+	// method body gets.
+	nextID int32
 }
 
 // ParseFile parses one source file into a list of class declarations.
+// A source of 2 GiB or more is rejected with an error.
 func ParseFile(file, src string) ([]*ast.ClassDecl, error) {
-	toks, lexErrs := lexer.ScanAll(file, src)
-	p := &parser{toks: toks}
+	src, toks, lexErrs := lexer.ScanAll(file, src)
+	p := &parser{file: file, src: src, toks: toks}
 	for _, e := range lexErrs {
 		p.errors = append(p.errors, &Error{Pos: e.Pos, Msg: e.Msg})
 	}
@@ -73,7 +79,6 @@ func ParseProgram(sources map[string]string) (*ast.Program, error) {
 	sortStrings(names)
 	for _, name := range names {
 		classes, err := ParseFile(name, sources[name])
-		prog.SrcBytes += len(sources[name])
 		prog.Classes = append(prog.Classes, classes...)
 		if err != nil {
 			all = append(all, err.(ErrorList)...)
@@ -97,11 +102,37 @@ func (p *parser) cur() token.Token {
 	if p.i < len(p.toks) {
 		return p.toks[p.i]
 	}
-	var pos token.Pos
+	eof := token.Token{Kind: token.EOF}
 	if len(p.toks) > 0 {
-		pos = p.toks[len(p.toks)-1].Pos
+		last := p.toks[len(p.toks)-1]
+		eof.Line, eof.Col, eof.Off, eof.End = last.Line, last.Col, last.End, last.End
 	}
-	return token.Token{Kind: token.EOF, Pos: pos}
+	return eof
+}
+
+// pos returns t's source position.
+func (p *parser) pos(t token.Token) token.Pos {
+	return token.Pos{File: p.file, Line: int(t.Line), Col: int(t.Col)}
+}
+
+// lit returns t's literal text.
+func (p *parser) lit(t token.Token) string { return lexer.Lit(p.src, t) }
+
+// describe renders t for a diagnostic: a literal kind with its text,
+// anything else by its spelling.
+func (p *parser) describe(t token.Token) string {
+	switch t.Kind {
+	case token.IDENT, token.INT, token.STRING, token.CHAR:
+		return fmt.Sprintf("%s(%q)", t.Kind, p.lit(t))
+	}
+	return t.Kind.String()
+}
+
+// id numbers the next expression node of the current method body.
+func (p *parser) id() int32 {
+	id := p.nextID
+	p.nextID++
+	return id
 }
 
 func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
@@ -129,11 +160,13 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 }
 
 func (p *parser) expect(k token.Kind) token.Token {
-	if p.at(k) {
+	t := p.cur()
+	if t.Kind == k {
 		return p.advance()
 	}
-	p.errorf(p.cur().Pos, "expected %s, found %s", k, p.cur())
-	return token.Token{Kind: k, Pos: p.cur().Pos}
+	p.errorf(p.pos(t), "expected %s, found %s", k, p.describe(t))
+	// A stand-in at the current position with empty text.
+	return token.Token{Kind: k, Line: t.Line, Col: t.Col, Off: t.Off, End: t.Off}
 }
 
 // sync skips tokens until a likely statement/declaration boundary, to
@@ -154,16 +187,16 @@ func (p *parser) sync() {
 
 func (p *parser) parseClass() *ast.ClassDecl {
 	if !p.at(token.CLASS) {
-		p.errorf(p.cur().Pos, "expected 'class', found %s", p.cur())
+		p.errorf(p.pos(p.cur()), "expected 'class', found %s", p.describe(p.cur()))
 		p.advance()
 		return nil
 	}
 	p.advance()
 	nameTok := p.expect(token.IDENT)
-	c := &ast.ClassDecl{NamePos: nameTok.Pos, Name: nameTok.Lit}
+	c := &ast.ClassDecl{NamePos: p.pos(nameTok), Name: p.lit(nameTok)}
 	if p.at(token.EXTENDS) {
 		p.advance()
-		c.Super = p.expect(token.IDENT).Lit
+		c.Super = p.lit(p.expect(token.IDENT))
 	}
 	p.expect(token.LBRACE)
 	for !p.at(token.RBRACE) && !p.atEOF() {
@@ -191,13 +224,13 @@ func (p *parser) parseMember(c *ast.ClassDecl) {
 		}
 	}
 	// Constructor: ClassName followed by '('.
-	if p.at(token.IDENT) && p.cur().Lit == c.Name && p.peekKind(1) == token.LPAREN {
+	if p.at(token.IDENT) && p.peekKind(1) == token.LPAREN && p.lit(p.cur()) == c.Name {
 		nameTok := p.advance()
 		m := &ast.MethodDecl{
-			NamePos: nameTok.Pos, Name: nameTok.Lit, IsCtor: true,
+			NamePos: p.pos(nameTok), Name: p.lit(nameTok), IsCtor: true,
 			Params: p.parseParams(),
 		}
-		m.Body = p.parseBlock()
+		p.parseBody(m)
 		c.Methods = append(c.Methods, m)
 		return
 	}
@@ -209,18 +242,25 @@ func (p *parser) parseMember(c *ast.ClassDecl) {
 	nameTok := p.expect(token.IDENT)
 	if p.at(token.LPAREN) {
 		m := &ast.MethodDecl{
-			NamePos: nameTok.Pos, Static: static, Ret: typ,
-			Name: nameTok.Lit, Params: p.parseParams(),
+			NamePos: p.pos(nameTok), Static: static, Ret: typ,
+			Name: p.lit(nameTok), Params: p.parseParams(),
 		}
-		m.Body = p.parseBlock()
+		p.parseBody(m)
 		c.Methods = append(c.Methods, m)
 		return
 	}
 	// Field declaration (no initializers on fields; constructors set them).
 	c.Fields = append(c.Fields, &ast.FieldDecl{
-		NamePos: nameTok.Pos, Static: static, Final: final, Type: typ, Name: nameTok.Lit,
+		NamePos: p.pos(nameTok), Static: static, Final: final, Type: typ, Name: p.lit(nameTok),
 	})
 	p.expect(token.SEMI)
+}
+
+// parseBody parses m's body, numbering its expressions from 0.
+func (p *parser) parseBody(m *ast.MethodDecl) {
+	p.nextID = 0
+	m.Body = p.parseBlock()
+	m.NumExprs = p.nextID
 }
 
 func (p *parser) parseParams() []*ast.Param {
@@ -236,7 +276,7 @@ func (p *parser) parseParams() []*ast.Param {
 			break
 		}
 		nameTok := p.expect(token.IDENT)
-		params = append(params, &ast.Param{NamePos: nameTok.Pos, Type: typ, Name: nameTok.Lit})
+		params = append(params, &ast.Param{NamePos: p.pos(nameTok), Type: typ, Name: p.lit(nameTok)})
 	}
 	p.expect(token.RPAREN)
 	return params
@@ -249,21 +289,21 @@ func (p *parser) parseType() ast.TypeExpr {
 	switch t := p.cur(); t.Kind {
 	case token.INTK:
 		p.advance()
-		base = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimInt}
+		base = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimInt}
 	case token.BOOLK:
 		p.advance()
-		base = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimBool}
+		base = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimBool}
 	case token.STRK:
 		p.advance()
-		base = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimString}
+		base = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimString}
 	case token.VOID:
 		p.advance()
-		base = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimVoid}
+		base = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimVoid}
 	case token.IDENT:
 		p.advance()
-		base = &ast.NamedType{NamePos: t.Pos, Name: t.Lit}
+		base = &ast.NamedType{NamePos: p.pos(t), Name: p.lit(t)}
 	default:
-		p.errorf(t.Pos, "expected type, found %s", t)
+		p.errorf(p.pos(t), "expected type, found %s", p.describe(t))
 		return nil
 	}
 	for p.at(token.LBRACK) && p.peekKind(1) == token.RBRACK {
@@ -276,7 +316,7 @@ func (p *parser) parseType() ast.TypeExpr {
 
 func (p *parser) parseBlock() *ast.Block {
 	lb := p.expect(token.LBRACE)
-	b := &ast.Block{LbracePos: lb.Pos}
+	b := &ast.Block{LbracePos: p.pos(lb)}
 	for !p.at(token.RBRACE) && !p.atEOF() {
 		s := p.parseStmt()
 		if s != nil {
@@ -315,7 +355,7 @@ func (p *parser) parseStmt() ast.Stmt {
 		p.expect(token.LPAREN)
 		cond := p.parseExpr()
 		p.expect(token.RPAREN)
-		s := &ast.If{IfPos: t.Pos, Cond: cond, Then: p.parseStmt()}
+		s := &ast.If{IfPos: p.pos(t), Cond: cond, Then: p.parseStmt()}
 		if p.at(token.ELSE) {
 			p.advance()
 			s.Else = p.parseStmt()
@@ -326,12 +366,12 @@ func (p *parser) parseStmt() ast.Stmt {
 		p.expect(token.LPAREN)
 		cond := p.parseExpr()
 		p.expect(token.RPAREN)
-		return &ast.While{WhilePos: t.Pos, Cond: cond, Body: p.parseStmt()}
+		return &ast.While{WhilePos: p.pos(t), Cond: cond, Body: p.parseStmt()}
 	case token.FOR:
 		return p.parseFor()
 	case token.RETURN:
 		p.advance()
-		s := &ast.Return{RetPos: t.Pos}
+		s := &ast.Return{RetPos: p.pos(t)}
 		if !p.at(token.SEMI) {
 			s.Value = p.parseExpr()
 		}
@@ -339,24 +379,24 @@ func (p *parser) parseStmt() ast.Stmt {
 		return s
 	case token.THROW:
 		p.advance()
-		s := &ast.Throw{ThrowPos: t.Pos, X: p.parseExpr()}
+		s := &ast.Throw{ThrowPos: p.pos(t), X: p.parseExpr()}
 		p.expect(token.SEMI)
 		return s
 	case token.ASSERT:
 		p.advance()
 		p.expect(token.LPAREN)
-		s := &ast.Assert{AssertPos: t.Pos, Cond: p.parseExpr()}
+		s := &ast.Assert{AssertPos: p.pos(t), Cond: p.parseExpr()}
 		p.expect(token.RPAREN)
 		p.expect(token.SEMI)
 		return s
 	case token.BREAK:
 		p.advance()
 		p.expect(token.SEMI)
-		return &ast.Break{BreakPos: t.Pos}
+		return &ast.Break{BreakPos: p.pos(t)}
 	case token.CONTINUE:
 		p.advance()
 		p.expect(token.SEMI)
-		return &ast.Continue{ContinuePos: t.Pos}
+		return &ast.Continue{ContinuePos: p.pos(t)}
 	case token.SEMI:
 		p.advance()
 		return nil
@@ -374,7 +414,7 @@ func (p *parser) parseStmt() ast.Stmt {
 func (p *parser) parseVarDecl() ast.Stmt {
 	typ := p.parseType()
 	nameTok := p.expect(token.IDENT)
-	d := &ast.VarDecl{NamePos: nameTok.Pos, Type: typ, Name: nameTok.Lit}
+	d := &ast.VarDecl{NamePos: p.pos(nameTok), Type: typ, Name: p.lit(nameTok)}
 	if p.at(token.ASSIGN) {
 		p.advance()
 		d.Init = p.parseExpr()
@@ -386,10 +426,12 @@ func (p *parser) parseVarDecl() ast.Stmt {
 // statements (everything that can appear in a for-init/post position).
 func (p *parser) parseSimpleStmt() ast.Stmt {
 	lhs := p.parseExpr()
+	// x += e and x++ share lhs between the assignment and the
+	// synthesized Binary, so that node keeps its one ExprID.
 	switch t := p.cur(); t.Kind {
 	case token.ASSIGN:
 		p.advance()
-		return &ast.Assign{AssignPos: t.Pos, LHS: lhs, RHS: p.parseExpr()}
+		return &ast.Assign{AssignPos: p.pos(t), LHS: lhs, RHS: p.parseExpr()}
 	case token.PLUSEQ, token.MINUSEQ:
 		p.advance()
 		op := token.ADD
@@ -397,17 +439,17 @@ func (p *parser) parseSimpleStmt() ast.Stmt {
 			op = token.SUB
 		}
 		rhs := p.parseExpr()
-		return &ast.Assign{AssignPos: t.Pos, LHS: lhs,
-			RHS: &ast.Binary{OpPos: t.Pos, Op: op, X: lhs, Y: rhs}}
+		return &ast.Assign{AssignPos: p.pos(t), LHS: lhs,
+			RHS: &ast.Binary{ID: p.id(), OpPos: p.pos(t), Op: op, X: lhs, Y: rhs}}
 	case token.INCR, token.DECR:
 		p.advance()
 		op := token.ADD
 		if t.Kind == token.DECR {
 			op = token.SUB
 		}
-		one := &ast.IntLit{LitPos: t.Pos, Value: 1}
-		return &ast.Assign{AssignPos: t.Pos, LHS: lhs,
-			RHS: &ast.Binary{OpPos: t.Pos, Op: op, X: lhs, Y: one}}
+		one := &ast.IntLit{ID: p.id(), LitPos: p.pos(t), Value: 1}
+		return &ast.Assign{AssignPos: p.pos(t), LHS: lhs,
+			RHS: &ast.Binary{ID: p.id(), OpPos: p.pos(t), Op: op, X: lhs, Y: one}}
 	}
 	if _, ok := lhs.(*ast.Call); !ok {
 		if _, ok := lhs.(*ast.New); !ok {
@@ -439,7 +481,7 @@ func (p *parser) parseFor() ast.Stmt {
 		post = p.parseSimpleStmt()
 	}
 	p.expect(token.RPAREN)
-	return &ast.For{ForPos: forTok.Pos, Init: init, Cond: cond, Post: post, Body: p.parseStmt()}
+	return &ast.For{ForPos: p.pos(forTok), Init: init, Cond: cond, Post: post, Body: p.parseStmt()}
 }
 
 func (p *parser) parseExpr() ast.Expr { return p.parseBinary(1) }
@@ -455,11 +497,11 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		p.advance()
 		if t.Kind == token.INSTANCEOF {
 			cls := p.expect(token.IDENT)
-			x = &ast.InstanceOf{X: x, Class: cls.Lit}
+			x = &ast.InstanceOf{ID: p.id(), X: x, Class: p.lit(cls)}
 			continue
 		}
 		y := p.parseBinary(prec + 1)
-		x = &ast.Binary{OpPos: t.Pos, Op: t.Kind, X: x, Y: y}
+		x = &ast.Binary{ID: p.id(), OpPos: p.pos(t), Op: t.Kind, X: x, Y: y}
 	}
 }
 
@@ -506,16 +548,16 @@ func (p *parser) parseUnary() ast.Expr {
 	switch t := p.cur(); t.Kind {
 	case token.NOT:
 		p.advance()
-		return &ast.Unary{OpPos: t.Pos, Op: token.NOT, X: p.parseUnary()}
+		return &ast.Unary{ID: p.id(), OpPos: p.pos(t), Op: token.NOT, X: p.parseUnary()}
 	case token.SUB:
 		p.advance()
-		return &ast.Unary{OpPos: t.Pos, Op: token.SUB, X: p.parseUnary()}
+		return &ast.Unary{ID: p.id(), OpPos: p.pos(t), Op: token.SUB, X: p.parseUnary()}
 	}
 	if p.castLookahead() {
 		lp := p.advance()
 		typ := p.parseType()
 		p.expect(token.RPAREN)
-		return &ast.Cast{LparenPos: lp.Pos, Type: typ, X: p.parseUnary()}
+		return &ast.Cast{ID: p.id(), LparenPos: p.pos(lp), Type: typ, X: p.parseUnary()}
 	}
 	return p.parsePostfix(p.parsePrimary())
 }
@@ -527,15 +569,15 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 			p.advance()
 			nameTok := p.expect(token.IDENT)
 			if p.at(token.LPAREN) {
-				x = &ast.Call{Recv: x, NamePos: nameTok.Pos, Name: nameTok.Lit, Args: p.parseArgs()}
+				x = &ast.Call{ID: p.id(), Recv: x, NamePos: p.pos(nameTok), Name: p.lit(nameTok), Args: p.parseArgs()}
 			} else {
-				x = &ast.FieldAccess{X: x, NamePos: nameTok.Pos, Name: nameTok.Lit}
+				x = &ast.FieldAccess{ID: p.id(), X: x, NamePos: p.pos(nameTok), Name: p.lit(nameTok)}
 			}
 		case token.LBRACK:
 			p.advance()
 			i := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.Index{X: x, I: i}
+			x = &ast.Index{ID: p.id(), X: x, I: i}
 		default:
 			return x
 		}
@@ -559,51 +601,52 @@ func (p *parser) parsePrimary() ast.Expr {
 	switch t := p.cur(); t.Kind {
 	case token.INT:
 		p.advance()
-		v, err := strconv.ParseInt(t.Lit, 10, 64)
+		lit := p.lit(t)
+		v, err := strconv.ParseInt(lit, 10, 64)
 		if err != nil {
-			p.errorf(t.Pos, "invalid integer literal %q", t.Lit)
+			p.errorf(p.pos(t), "invalid integer literal %q", lit)
 		}
-		return &ast.IntLit{LitPos: t.Pos, Value: v}
+		return &ast.IntLit{ID: p.id(), LitPos: p.pos(t), Value: v}
 	case token.CHAR:
 		p.advance()
 		var v int64
-		for _, r := range t.Lit {
+		for _, r := range p.lit(t) {
 			v = int64(r)
 			break
 		}
-		return &ast.IntLit{LitPos: t.Pos, Value: v}
+		return &ast.IntLit{ID: p.id(), LitPos: p.pos(t), Value: v}
 	case token.STRING:
 		p.advance()
-		return &ast.StrLit{LitPos: t.Pos, Value: t.Lit}
+		return &ast.StrLit{ID: p.id(), LitPos: p.pos(t), Value: p.lit(t)}
 	case token.TRUE:
 		p.advance()
-		return &ast.BoolLit{LitPos: t.Pos, Value: true}
+		return &ast.BoolLit{ID: p.id(), LitPos: p.pos(t), Value: true}
 	case token.FALSE:
 		p.advance()
-		return &ast.BoolLit{LitPos: t.Pos, Value: false}
+		return &ast.BoolLit{ID: p.id(), LitPos: p.pos(t), Value: false}
 	case token.NULL:
 		p.advance()
-		return &ast.NullLit{LitPos: t.Pos}
+		return &ast.NullLit{ID: p.id(), LitPos: p.pos(t)}
 	case token.THIS:
 		p.advance()
-		return &ast.This{ThisPos: t.Pos}
+		return &ast.This{ID: p.id(), ThisPos: p.pos(t)}
 	case token.SUPER:
 		p.advance()
 		if p.at(token.LPAREN) {
-			return &ast.Call{NamePos: t.Pos, Name: "super", Args: p.parseArgs(), IsSuper: true}
+			return &ast.Call{ID: p.id(), NamePos: p.pos(t), Name: "super", Args: p.parseArgs(), IsSuper: true}
 		}
-		p.errorf(t.Pos, "'super' is only supported as a constructor call super(...)")
-		return &ast.NullLit{LitPos: t.Pos}
+		p.errorf(p.pos(t), "'super' is only supported as a constructor call super(...)")
+		return &ast.NullLit{ID: p.id(), LitPos: p.pos(t)}
 	case token.NEW:
 		p.advance()
-		typ := p.parseTypeForNew(t.Pos)
+		typ := p.parseTypeForNew(p.pos(t))
 		return typ
 	case token.IDENT:
 		p.advance()
 		if p.at(token.LPAREN) {
-			return &ast.Call{NamePos: t.Pos, Name: t.Lit, Args: p.parseArgs()}
+			return &ast.Call{ID: p.id(), NamePos: p.pos(t), Name: p.lit(t), Args: p.parseArgs()}
 		}
-		return &ast.Ident{NamePos: t.Pos, Name: t.Lit}
+		return &ast.Ident{ID: p.id(), NamePos: p.pos(t), Name: p.lit(t)}
 	case token.LPAREN:
 		p.advance()
 		x := p.parseExpr()
@@ -611,9 +654,9 @@ func (p *parser) parsePrimary() ast.Expr {
 		return x
 	}
 	t := p.cur()
-	p.errorf(t.Pos, "expected expression, found %s", t)
+	p.errorf(p.pos(t), "expected expression, found %s", p.describe(t))
 	p.advance()
-	return &ast.NullLit{LitPos: t.Pos}
+	return &ast.NullLit{ID: p.id(), LitPos: p.pos(t)}
 }
 
 // parseTypeForNew parses the remainder of a 'new' expression:
@@ -624,22 +667,22 @@ func (p *parser) parseTypeForNew(newPos token.Pos) ast.Expr {
 	switch t := p.cur(); t.Kind {
 	case token.INTK:
 		p.advance()
-		elem = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimInt}
+		elem = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimInt}
 	case token.BOOLK:
 		p.advance()
-		elem = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimBool}
+		elem = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimBool}
 	case token.STRK:
 		p.advance()
-		elem = &ast.PrimType{KindPos: t.Pos, Kind: ast.PrimString}
+		elem = &ast.PrimType{KindPos: p.pos(t), Kind: ast.PrimString}
 	case token.IDENT:
 		p.advance()
 		if p.at(token.LPAREN) {
-			return &ast.New{NewPos: newPos, Class: t.Lit, Args: p.parseArgs()}
+			return &ast.New{ID: p.id(), NewPos: newPos, Class: p.lit(t), Args: p.parseArgs()}
 		}
-		elem = &ast.NamedType{NamePos: t.Pos, Name: t.Lit}
+		elem = &ast.NamedType{NamePos: p.pos(t), Name: p.lit(t)}
 	default:
-		p.errorf(t.Pos, "expected type after 'new', found %s", t)
-		return &ast.NullLit{LitPos: newPos}
+		p.errorf(p.pos(t), "expected type after 'new', found %s", p.describe(t))
+		return &ast.NullLit{ID: p.id(), LitPos: newPos}
 	}
 	p.expect(token.LBRACK)
 	length := p.parseExpr()
@@ -649,5 +692,5 @@ func (p *parser) parseTypeForNew(newPos token.Pos) ast.Expr {
 		p.advance()
 		elem = &ast.ArrayType{Elem: elem}
 	}
-	return &ast.NewArray{NewPos: newPos, Elem: elem, Len: length}
+	return &ast.NewArray{ID: p.id(), NewPos: newPos, Elem: elem, Len: length}
 }

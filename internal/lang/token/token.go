@@ -13,7 +13,7 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Literal kinds carry their text in Token.Lit.
+// Token kinds. Literal kinds take their text from the source.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -117,19 +117,57 @@ func (k Kind) String() string {
 // IsKeyword reports whether k is a reserved word.
 func (k Kind) IsKeyword() bool { return k > kwStart && k < kwEnd }
 
-// keywords maps spelling to keyword kind.
-var keywords = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := kwStart + 1; k < kwEnd; k++ {
-		m[kindNames[k]] = k
-	}
-	return m
-}()
-
 // Lookup returns the keyword kind for an identifier spelling, or IDENT.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	switch ident {
+	case "class":
+		return CLASS
+	case "extends":
+		return EXTENDS
+	case "static":
+		return STATIC
+	case "final":
+		return FINAL
+	case "void":
+		return VOID
+	case "int":
+		return INTK
+	case "boolean":
+		return BOOLK
+	case "string":
+		return STRK
+	case "if":
+		return IF
+	case "else":
+		return ELSE
+	case "while":
+		return WHILE
+	case "for":
+		return FOR
+	case "return":
+		return RETURN
+	case "new":
+		return NEW
+	case "this":
+		return THIS
+	case "super":
+		return SUPER
+	case "null":
+		return NULL
+	case "true":
+		return TRUE
+	case "false":
+		return FALSE
+	case "throw":
+		return THROW
+	case "assert":
+		return ASSERT
+	case "instanceof":
+		return INSTANCEOF
+	case "break":
+		return BREAK
+	case "continue":
+		return CONTINUE
 	}
 	return IDENT
 }
@@ -151,20 +189,19 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is a single lexeme with its position and literal text.
+// Token is a single lexeme: its kind, the 1-based line and column (in
+// runes) of its first rune, and its byte range [Off, End) in the
+// lexer's CRLF-normalized source. It holds no pointers, so a token
+// stream is one flat array the garbage collector never scans; literal
+// text is read from the source (lexer.Lit) only where it is needed.
 type Token struct {
-	Kind Kind
-	Pos  Pos
-	Lit  string // literal text for IDENT, INT, STRING, CHAR, COMMENT
+	Kind      Kind
+	Line, Col int32
+	Off, End  int32
 }
 
 func (t Token) String() string {
-	switch t.Kind {
-	case IDENT, INT, STRING, CHAR:
-		return fmt.Sprintf("%s(%q)", t.Kind, t.Lit)
-	default:
-		return t.Kind.String()
-	}
+	return fmt.Sprintf("%s@%d:%d", t.Kind, t.Line, t.Col)
 }
 
 // Precedence returns the binary operator precedence (higher binds

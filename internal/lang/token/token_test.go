@@ -74,12 +74,12 @@ func TestPosString(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	tok := Token{Kind: IDENT, Lit: "foo"}
-	if tok.String() != `IDENT("foo")` {
+	tok := Token{Kind: IDENT, Line: 3, Col: 7, Off: 40, End: 43}
+	if tok.String() != "IDENT@3:7" {
 		t.Errorf("got %q", tok.String())
 	}
-	if (Token{Kind: WHILE}).String() != "while" {
-		t.Errorf("got %q", Token{Kind: WHILE}.String())
+	if got := (Token{Kind: WHILE, Line: 1, Col: 1}).String(); got != "while@1:1" {
+		t.Errorf("got %q", got)
 	}
 }
 

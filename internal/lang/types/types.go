@@ -1,8 +1,8 @@
 // Package types implements semantic analysis for the MiniJava-style
 // language: class hierarchy construction, name resolution, and type
-// checking. Its output (Info) annotates the AST with everything the IR
-// lowering needs: expression types, identifier references, field
-// resolutions, and statically-resolved call targets.
+// checking. Its output (Info) records everything the IR lowering needs
+// about each expression: its type, what an identifier refers to, the
+// field an access resolves to, and the statically-resolved call target.
 package types
 
 import (
@@ -159,6 +159,8 @@ type MethodInfo struct {
 	Params []Type
 	Ret    Type
 	Decl   *ast.MethodDecl // nil for synthesized default constructors
+	// exprBase is where the body's facts start in the Info's tables.
+	exprBase int32
 }
 
 // QualifiedName is Owner.Name(...), unique because overloading is not
@@ -226,18 +228,69 @@ type Info struct {
 	Classes map[string]*ClassInfo
 	Object  *ClassInfo
 	String  *ClassInfo
-
-	ExprTypes  map[ast.Expr]Type
-	Refs       map[*ast.Ident]*Ref
-	FieldRefs  map[*ast.FieldAccess]*FieldInfo
-	IsArrayLen map[*ast.FieldAccess]bool
-	Calls      map[*ast.Call]*CallInfo
 	// MethodOfDecl maps each method declaration back to its info.
 	MethodOfDecl map[*ast.MethodDecl]*MethodInfo
+
+	// facts holds the per-expression facts of every checked body, laid
+	// end to end in declaration order: a body's start at its
+	// MethodInfo's exprBase. They live here, not in the AST, so
+	// programs sharing a parsed file keep their own.
+	facts Body
+}
+
+// Body returns the facts of mi's body, empty for a synthesized
+// constructor. mi must come from this Info.
+func (info *Info) Body(mi *MethodInfo) Body {
+	if mi.Decl == nil {
+		return Body{}
+	}
+	lo, hi := mi.exprBase, mi.exprBase+mi.Decl.NumExprs
+	f := info.facts
+	return Body{
+		types:     f.types[lo:hi:hi],
+		refs:      f.refs[lo:hi:hi],
+		fieldRefs: f.fieldRefs[lo:hi:hi],
+		arrayLen:  f.arrayLen[lo:hi:hi],
+		calls:     f.calls[lo:hi:hi],
+	}
+}
+
+// NumTyped returns the number of expressions with a recorded type.
+func (info *Info) NumTyped() int {
+	n := 0
+	for _, t := range info.facts.types {
+		if t != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Body is the checker's facts for one method body, indexed by the
+// ExprID of each expression in it. A fact the checker did not record
+// (an expression it could not resolve) reads as nil or false.
+type Body struct {
+	types     []Type
+	refs      []*Ref
+	fieldRefs []*FieldInfo
+	arrayLen  []bool
+	calls     []*CallInfo
 }
 
 // TypeOf returns the checked type of e (nil if unchecked due to errors).
-func (info *Info) TypeOf(e ast.Expr) Type { return info.ExprTypes[e] }
+func (b Body) TypeOf(e ast.Expr) Type { return b.types[e.ExprID()] }
+
+// Ref returns what the identifier e refers to.
+func (b Body) Ref(e *ast.Ident) *Ref { return b.refs[e.ID] }
+
+// Field returns the field that the access e resolves to.
+func (b Body) Field(e *ast.FieldAccess) *FieldInfo { return b.fieldRefs[e.ID] }
+
+// IsArrayLen reports whether e reads an array's length.
+func (b Body) IsArrayLen(e *ast.FieldAccess) bool { return b.arrayLen[e.ID] }
+
+// Call returns the static resolution of the call e.
+func (b Body) Call(e *ast.Call) *CallInfo { return b.calls[e.ID] }
 
 // ClassType returns the reference type for a class info. Checker-built
 // classes share one wrapper (this is one of the hottest allocation
@@ -279,24 +332,16 @@ type checker struct {
 	// current method context
 	curClass  *ClassInfo
 	curMethod *MethodInfo
+	body      Body // curMethod's facts, written as its body is checked
 	scopes    []map[string]*Ref
 }
 
 // Check performs semantic analysis on prog. It returns partial Info even
 // when errors are present, so tools can operate best-effort.
 func Check(prog *ast.Program) (*Info, error) {
-	// Roughly one checked expression per eight source bytes; presizing
-	// the big per-expression tables avoids their incremental rehashes,
-	// which otherwise dominate the checker's allocation profile.
-	nExpr := prog.SrcBytes / 8
 	info := &Info{
 		Prog:         prog,
 		Classes:      make(map[string]*ClassInfo),
-		ExprTypes:    make(map[ast.Expr]Type, nExpr),
-		Refs:         make(map[*ast.Ident]*Ref, nExpr/2),
-		FieldRefs:    make(map[*ast.FieldAccess]*FieldInfo),
-		IsArrayLen:   make(map[*ast.FieldAccess]bool),
-		Calls:        make(map[*ast.Call]*CallInfo, nExpr/8),
 		MethodOfDecl: make(map[*ast.MethodDecl]*MethodInfo),
 	}
 	c := &checker{info: info}
@@ -536,29 +581,48 @@ func CastableTo(src, dst Type) bool {
 	return false
 }
 
-func (c *checker) checkBodies() {
+// bodies returns the method bodies to check, in declaration order, and
+// lays out the fact tables for them.
+func (c *checker) bodies() []*MethodInfo {
+	var ms []*MethodInfo
+	n := int32(0)
 	for _, decl := range c.info.Prog.Classes {
 		ci := c.info.Classes[decl.Name]
 		if ci == nil || ci.Decl != decl {
 			continue
 		}
-		c.curClass = ci
 		for _, m := range decl.Methods {
-			mi := c.info.MethodOfDecl[m]
-			if mi == nil {
-				continue
+			if mi := c.info.MethodOfDecl[m]; mi != nil {
+				mi.exprBase = n
+				n += m.NumExprs
+				ms = append(ms, mi)
 			}
-			c.curMethod = mi
-			c.scopes = []map[string]*Ref{{}}
-			for i, p := range m.Params {
-				c.declare(p.Name, &Ref{Kind: RefParam, Param: p}, p.Pos())
-				_ = i
-			}
-			c.checkStmt(m.Body)
 		}
+	}
+	c.info.facts = Body{
+		types:     make([]Type, n),
+		refs:      make([]*Ref, n),
+		fieldRefs: make([]*FieldInfo, n),
+		arrayLen:  make([]bool, n),
+		calls:     make([]*CallInfo, n),
+	}
+	return ms
+}
+
+func (c *checker) checkBodies() {
+	for _, mi := range c.bodies() {
+		c.curClass = mi.Owner
+		c.curMethod = mi
+		c.body = c.info.Body(mi)
+		c.scopes = []map[string]*Ref{{}}
+		for _, p := range mi.Decl.Params {
+			c.declare(p.Name, &Ref{Kind: RefParam, Param: p}, p.Pos())
+		}
+		c.checkStmt(mi.Decl.Body)
 	}
 	c.curClass = nil
 	c.curMethod = nil
+	c.body = Body{}
 }
 
 func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*Ref{}) }
@@ -667,14 +731,14 @@ func (c *checker) checkLValue(e ast.Expr) Type {
 	switch e := e.(type) {
 	case *ast.Ident:
 		t := c.checkExpr(e)
-		if r := c.info.Refs[e]; r != nil && r.Kind == RefClass {
+		if r := c.body.Ref(e); r != nil && r.Kind == RefClass {
 			c.errorf(e.Pos(), "cannot assign to class name %s", e.Name)
 			return nil
 		}
 		return t
 	case *ast.FieldAccess:
 		t := c.checkExpr(e)
-		if c.info.IsArrayLen[e] {
+		if c.body.IsArrayLen(e) {
 			c.errorf(e.Pos(), "cannot assign to array length")
 			return nil
 		}
@@ -688,7 +752,7 @@ func (c *checker) checkLValue(e ast.Expr) Type {
 }
 
 func (c *checker) setType(e ast.Expr, t Type) Type {
-	c.info.ExprTypes[e] = t
+	c.body.types[e.ExprID()] = t
 	return t
 }
 
@@ -774,7 +838,7 @@ func (c *checker) checkExpr(e ast.Expr) Type {
 
 func (c *checker) checkIdent(e *ast.Ident) Type {
 	if r := c.lookup(e.Name); r != nil {
-		c.info.Refs[e] = r
+		c.body.refs[e.ID] = r
 		switch r.Kind {
 		case RefLocal:
 			return c.setType(e, c.localType(r.Local))
@@ -790,12 +854,12 @@ func (c *checker) checkIdent(e *ast.Ident) Type {
 		} else if c.curMethod.Static {
 			c.errorf(e.Pos(), "cannot use instance field %s in a static method", e.Name)
 		}
-		c.info.Refs[e] = &Ref{Kind: kind, Field: f}
+		c.body.refs[e.ID] = &Ref{Kind: kind, Field: f}
 		return c.setType(e, f.Type)
 	}
 	// Class name, for static member access C.f or C.m().
 	if ci, ok := c.info.Classes[e.Name]; ok {
-		c.info.Refs[e] = &Ref{Kind: RefClass, Class: ci}
+		c.body.refs[e.ID] = &Ref{Kind: RefClass, Class: ci}
 		return c.setType(e, ClassType(ci))
 	}
 	c.errorf(e.Pos(), "undeclared identifier %s", e.Name)
@@ -863,14 +927,14 @@ func (c *checker) checkFieldAccess(e *ast.FieldAccess) Type {
 	if id, ok := e.X.(*ast.Ident); ok {
 		if c.lookup(id.Name) == nil && c.curClass.LookupField(id.Name) == nil {
 			if ci, isClass := c.info.Classes[id.Name]; isClass {
-				c.info.Refs[id] = &Ref{Kind: RefClass, Class: ci}
+				c.body.refs[id.ID] = &Ref{Kind: RefClass, Class: ci}
 				c.setType(id, ClassType(ci))
 				f := ci.LookupField(e.Name)
 				if f == nil || !f.Static {
 					c.errorf(e.Pos(), "class %s has no static field %s", ci.Name, e.Name)
 					return c.setType(e, IntT)
 				}
-				c.info.FieldRefs[e] = f
+				c.body.fieldRefs[e.ID] = f
 				return c.setType(e, f.Type)
 			}
 		}
@@ -879,7 +943,7 @@ func (c *checker) checkFieldAccess(e *ast.FieldAccess) Type {
 	if arr, ok := xt.(*Array); ok {
 		_ = arr
 		if e.Name == "length" {
-			c.info.IsArrayLen[e] = true
+			c.body.arrayLen[e.ID] = true
 			return c.setType(e, IntT)
 		}
 		c.errorf(e.Pos(), "arrays have no field %s", e.Name)
@@ -897,7 +961,7 @@ func (c *checker) checkFieldAccess(e *ast.FieldAccess) Type {
 		c.errorf(e.Pos(), "class %s has no field %s", cl.Info.Name, e.Name)
 		return c.setType(e, IntT)
 	}
-	c.info.FieldRefs[e] = f
+	c.body.fieldRefs[e.ID] = f
 	return c.setType(e, f.Type)
 }
 
@@ -932,7 +996,7 @@ func (c *checker) checkCall(e *ast.Call) Type {
 			ctor = &MethodInfo{Owner: sup, IsCtor: true, Ret: VoidT}
 		}
 		c.checkArgs(e, ctor.Params)
-		c.info.Calls[e] = &CallInfo{Method: ctor, StaticCall: true}
+		c.body.calls[e.ID] = &CallInfo{Method: ctor, StaticCall: true}
 		return c.setType(e, VoidT)
 	}
 	// Unqualified: builtin, or method of the enclosing class.
@@ -945,19 +1009,19 @@ func (c *checker) checkCall(e *ast.Call) Type {
 			for _, a := range e.Args {
 				c.checkExpr(a)
 			}
-			c.info.Calls[e] = &CallInfo{Intrinsic: BuiltinPrint}
+			c.body.calls[e.ID] = &CallInfo{Intrinsic: BuiltinPrint}
 			return c.setType(e, VoidT)
 		case "itoa":
 			c.checkArgs(e, []Type{IntT})
-			c.info.Calls[e] = &CallInfo{Intrinsic: BuiltinItoa}
+			c.body.calls[e.ID] = &CallInfo{Intrinsic: BuiltinItoa}
 			return c.setType(e, strT)
 		case "input":
 			c.checkArgs(e, nil)
-			c.info.Calls[e] = &CallInfo{Intrinsic: BuiltinInput}
+			c.body.calls[e.ID] = &CallInfo{Intrinsic: BuiltinInput}
 			return c.setType(e, strT)
 		case "inputInt":
 			c.checkArgs(e, nil)
-			c.info.Calls[e] = &CallInfo{Intrinsic: BuiltinInputInt}
+			c.body.calls[e.ID] = &CallInfo{Intrinsic: BuiltinInputInt}
 			return c.setType(e, IntT)
 		}
 		m := c.curClass.LookupMethod(e.Name)
@@ -969,14 +1033,14 @@ func (c *checker) checkCall(e *ast.Call) Type {
 			c.errorf(e.Pos(), "cannot call instance method %s from a static method", e.Name)
 		}
 		c.checkArgs(e, m.Params)
-		c.info.Calls[e] = &CallInfo{Method: m, StaticCall: m.Static}
+		c.body.calls[e.ID] = &CallInfo{Method: m, StaticCall: m.Static}
 		return c.setType(e, m.Ret)
 	}
 	// Static call through a class name.
 	if id, ok := e.Recv.(*ast.Ident); ok {
 		if c.lookup(id.Name) == nil && c.curClass.LookupField(id.Name) == nil {
 			if ci, isClass := c.info.Classes[id.Name]; isClass {
-				c.info.Refs[id] = &Ref{Kind: RefClass, Class: ci}
+				c.body.refs[id.ID] = &Ref{Kind: RefClass, Class: ci}
 				c.setType(id, ClassType(ci))
 				m := ci.LookupMethod(e.Name)
 				if m == nil || !m.Static {
@@ -984,7 +1048,7 @@ func (c *checker) checkCall(e *ast.Call) Type {
 					return c.setType(e, IntT)
 				}
 				c.checkArgs(e, m.Params)
-				c.info.Calls[e] = &CallInfo{Method: m, StaticCall: true}
+				c.body.calls[e.ID] = &CallInfo{Method: m, StaticCall: true}
 				return c.setType(e, m.Ret)
 			}
 		}
@@ -1002,7 +1066,7 @@ func (c *checker) checkCall(e *ast.Call) Type {
 				}
 			}
 			c.checkArgs(e, params)
-			c.info.Calls[e] = &CallInfo{Intrinsic: in.kind}
+			c.body.calls[e.ID] = &CallInfo{Intrinsic: in.kind}
 			switch in.kind {
 			case StrSubstring:
 				return c.setType(e, strT)
@@ -1028,7 +1092,7 @@ func (c *checker) checkCall(e *ast.Call) Type {
 		return c.setType(e, IntT)
 	}
 	c.checkArgs(e, m.Params)
-	c.info.Calls[e] = &CallInfo{Method: m, StaticCall: m.Static}
+	c.body.calls[e.ID] = &CallInfo{Method: m, StaticCall: m.Static}
 	return c.setType(e, m.Ret)
 }
 

@@ -28,6 +28,21 @@ func mustCheck(t *testing.T, src string) *types.Info {
 	return info
 }
 
+// calls returns the checker's resolution of every resolved call in
+// info's method bodies.
+func calls(info *types.Info) map[*ast.Call]*types.CallInfo {
+	out := map[*ast.Call]*types.CallInfo{}
+	for _, mi := range info.MethodOfDecl {
+		body := info.Body(mi)
+		ast.Walk(mi.Decl.Body, func(n ast.Node) {
+			if call, ok := n.(*ast.Call); ok && body.Call(call) != nil {
+				out[call] = body.Call(call)
+			}
+		})
+	}
+	return out
+}
+
 func wantError(t *testing.T, src, fragment string) {
 	t.Helper()
 	_, err := check(t, src)
@@ -166,7 +181,7 @@ func TestStringIntrinsics(t *testing.T) {
 	`)
 	// Check at least one intrinsic resolution exists.
 	foundSub := false
-	for _, ci := range info.Calls {
+	for _, ci := range calls(info) {
 		if ci.Intrinsic == types.StrSubstring {
 			foundSub = true
 		}
@@ -198,7 +213,7 @@ func TestVirtualCallResolution(t *testing.T) {
 		class C { int go(A a) { return a.m(); } }
 	`)
 	var found *types.CallInfo
-	for call, ci := range info.Calls {
+	for call, ci := range calls(info) {
 		if call.Name == "m" {
 			found = ci
 		}
@@ -217,7 +232,7 @@ func TestStaticCallThroughClassName(t *testing.T) {
 		class A { int m() { return Util.sq(3); } }
 	`)
 	var found *types.CallInfo
-	for call, ci := range info.Calls {
+	for call, ci := range calls(info) {
 		if call.Name == "sq" {
 			found = ci
 		}
@@ -352,13 +367,33 @@ func TestPreludeLoads(t *testing.T) {
 }
 
 func TestExprTypesRecorded(t *testing.T) {
-	info := mustCheck(t, `class A { int m(int x) { return x + 1; } }`)
-	count := 0
-	for range info.ExprTypes {
-		count++
+	info := mustCheck(t, `class A { int m(int x) { x += 2; return x + 1; } boolean n(int[] a) { return a.length > 0; } }`)
+	// x, 2, x + 2 (whose X is the same node as the assignment's LHS),
+	// x, 1, x + 1; then a, a.length, 0 and the comparison.
+	if got := info.NumTyped(); got != 10 {
+		t.Errorf("NumTyped = %d, want 10", got)
 	}
-	if count < 3 {
-		t.Errorf("only %d expression types recorded", count)
+	for _, mi := range info.MethodOfDecl {
+		body := info.Body(mi)
+		ast.Walk(mi.Decl.Body, func(n ast.Node) {
+			e, ok := n.(ast.Expr)
+			if !ok {
+				return
+			}
+			if body.TypeOf(e) == nil {
+				t.Errorf("%s: %T has no recorded type", e.Pos(), e)
+			}
+			switch e := e.(type) {
+			case *ast.Ident:
+				if r := body.Ref(e); r == nil || r.Kind != types.RefParam {
+					t.Errorf("%s: %s resolves to %+v, want its parameter", e.Pos(), e.Name, r)
+				}
+			case *ast.FieldAccess:
+				if !body.IsArrayLen(e) || body.Field(e) != nil {
+					t.Errorf("%s: a.length not recorded as an array length", e.Pos())
+				}
+			}
+		})
 	}
 }
 
@@ -385,5 +420,3 @@ func TestTypeOfCovariantArrayStore(t *testing.T) {
 		}
 	`)
 }
-
-var _ = ast.TypeString // keep import used if assertions change

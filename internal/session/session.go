@@ -438,7 +438,6 @@ func (s *Session) Info() (*types.Info, error) {
 			var all parser.ErrorList
 			for _, name := range names {
 				classes, perr := s.parseFile(name, srcs[name])
-				prog.SrcBytes += len(srcs[name])
 				prog.Classes = append(prog.Classes, classes...)
 				if perr != nil {
 					all = append(all, perr.(parser.ErrorList)...)

@@ -265,7 +265,7 @@ func estimateCost(v any) int64 {
 	case parseResult:
 		return base + int64(len(v.classes))*perClass
 	case *types.Info:
-		return base + int64(len(v.Classes))*perClass + int64(len(v.ExprTypes))*perExpr
+		return base + int64(len(v.Classes))*perClass + int64(v.NumTyped())*perExpr
 	case *ir.Program:
 		return base + int64(v.NumInstrs)*perInstr
 	case *pointsto.Result:
